@@ -41,6 +41,10 @@ class EmptyTrainingSet(PipelineError):
     """Prediction requires at least one training vector."""
 
 
+class TooFewClasses(PipelineError, ValueError):
+    """Evaluation needs at least two classes to tell apart."""
+
+
 class TooFewSamplesPerClass(PipelineError):
     """Stratified folding needs at least `folds` members in every class."""
 

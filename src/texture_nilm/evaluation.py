@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import KnnConfig, LabeledDataset, predict_batch
-from .errors import InvalidConfig, TooFewSamplesPerClass
+from .errors import InvalidConfig, TooFewClasses, TooFewSamplesPerClass
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,9 @@ def run_eval(
     """
     labels = ds.class_set
     if len(labels) < 2:
-        raise ValueError("evaluation requires at least two classes")
+        raise TooFewClasses(
+            f"evaluation requires at least two classes, found {labels}"
+        )
     index_of = {label: i for i, label in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     per_fold = []

@@ -3,12 +3,18 @@
 Everything in this module is deliberately scalar, loop-based and written
 directly from the operation definitions, so the vectorized production code
 can be cross-checked against a second, independent path. Keep it dumb.
+
+The one numpy function, :func:`knn_predict_exact_ref`, is a frozen copy of
+the original classifier rather than an independent derivation: it pins
+predictions bit for bit, where the scalar oracles only pin the definitions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -160,6 +166,38 @@ def knn_predict_ref(train_vectors, labels, query, k, metric="euclidean"):
         votes[labels[idx]] = votes.get(labels[idx], 0) + 1
     best = max(votes.values())
     return min(label for label, count in votes.items() if count == best)
+
+
+def knn_predict_exact_ref(
+    train_vectors, labels, query, k, metric="euclidean", weighting="uniform"
+):
+    """Per-query full scan, frozen from the original numpy classifier.
+
+    Unlike :func:`knn_predict_ref` this is bitwise: the same distance
+    formulas, stable argsort, inverse-distance floor and smallest-label vote
+    tie rule as the scan that produced the pinned reports, so a faster
+    classifier can be held to identical predictions, near-ties included.
+    """
+    train = np.asarray(train_vectors, dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    if metric == "euclidean":
+        diff = train - q
+        d = np.sqrt(np.sum(diff * diff, axis=1))
+    else:
+        qn = np.sqrt(np.dot(q, q))
+        tn = np.sqrt(np.sum(train * train, axis=1))
+        if qn == 0.0 or np.any(tn == 0.0):
+            raise ValueError("cosine distance is undefined for zero-norm vectors")
+        d = 1.0 - (train @ q) / (tn * qn)
+    if k == 1:
+        weighting = "uniform"
+    nearest = np.argsort(d, kind="stable")[: min(k, len(labels))]
+    votes = {}
+    for i in nearest:
+        weight = 1.0 if weighting == "uniform" else 1.0 / (d[i] + 1e-12)
+        votes[labels[i]] = votes.get(labels[i], 0.0) + weight
+    best = max(votes.values())
+    return min(label for label, weight in votes.items() if weight == best)
 
 
 def macro_f1_ref(confusion):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_predict_ref
+from oracles import knn_predict_exact_ref, knn_predict_ref
 from texture_nilm import (
     FeatureVector,
     FusionStrategy,
@@ -11,6 +11,7 @@ from texture_nilm import (
     LabeledDataset,
     Metric,
     VoteWeighting,
+    classify,
     predict,
     predict_batch,
 )
@@ -199,3 +200,155 @@ class TestPredictBatch:
         order = rng.permutation(12)
         shuffled = predict_batch(FIVE_POINTS, queries[order], cfg)
         assert shuffled == [base[i] for i in order]
+
+
+VALUES = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.1, 0.25, 1.0, 2.0]) | st.floats(
+    -10.0, 10.0, allow_nan=False, allow_subnormal=False
+)
+
+
+def one_ulp(row, j, direction):
+    out = row.copy()
+    out[j] = np.nextafter(out[j], direction)
+    return out
+
+
+@st.composite
+def near_tie_problems(draw):
+    """Training rows and queries built to put neighbors at (near-)equal distance."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # every sign flip of one vector: all distances to the origin are equal
+        base = np.array(draw(st.lists(VALUES, min_size=d, max_size=d)))
+        signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(n * d)])
+        train = base * signs.reshape(n, d)
+    else:
+        train = np.array(
+            [draw(st.lists(VALUES, min_size=d, max_size=d)) for _ in range(n)]
+        )
+        for i in range(1, n):
+            src = train[draw(st.integers(0, i - 1))]
+            action = draw(st.sampled_from(["keep", "duplicate", "ulp"]))
+            if action == "duplicate":
+                train[i] = src
+            elif action == "ulp":
+                j = draw(st.integers(0, d - 1))
+                train[i] = one_ulp(src, j, draw(st.sampled_from([-np.inf, np.inf])))
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["origin", "row", "row_ulp", "free"]))
+        row = train[draw(st.integers(0, n - 1))]
+        if kind == "origin":
+            queries.append(np.zeros(d))
+        elif kind == "row":
+            queries.append(row.copy())
+        elif kind == "row_ulp":
+            queries.append(one_ulp(row, draw(st.integers(0, d - 1)), np.inf))
+        else:
+            queries.append(np.array(draw(st.lists(VALUES, min_size=d, max_size=d))))
+    labels = [draw(st.sampled_from(["a", "b", "c"])) for _ in range(n)]
+    k = draw(st.sampled_from([1, 3, 5, n + 2]))
+    return train, labels, np.array(queries), k
+
+
+def reference_batch(train, labels, queries, cfg):
+    """The exact reference per query, or ValueError for a rejected query."""
+    out = []
+    for q in queries:
+        try:
+            out.append(
+                knn_predict_exact_ref(
+                    train, labels, q, cfg.k, cfg.metric.value, cfg.weighting.value
+                )
+            )
+        except ValueError:
+            out.append(ValueError)
+    return out
+
+
+def assert_matches_reference(train, labels, queries, cfg):
+    with np.errstate(all="ignore"):
+        expected = reference_batch(train, labels, queries, cfg)
+        if ValueError in expected:
+            # e.g. zero-norm cosine: the whole batch is rejected
+            with pytest.raises(ValueError):
+                predict_batch(LabeledDataset(train, labels), queries, cfg)
+        else:
+            got = predict_batch(LabeledDataset(train, labels), queries, cfg)
+            assert got == expected
+
+
+class TestExactParity:
+    """predict_batch equals the original per-query scan element by element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        near_tie_problems(),
+        st.sampled_from(["euclidean", "cosine"]),
+        st.sampled_from(["uniform", "inverse_distance"]),
+    )
+    def test_matches_exact_reference_on_near_ties(self, problem, metric, weighting):
+        train, labels, queries, k = problem
+        cfg = KnnConfig(k=k, metric=metric, weighting=weighting)
+        assert_matches_reference(train, labels, queries, cfg)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k, weighting", [(1, "uniform"), (5, "inverse_distance")])
+    def test_several_query_blocks_and_rerank_chunks(
+        self, monkeypatch, metric, k, weighting
+    ):
+        # a coarse grid makes many exact ties; every third query is a training row
+        monkeypatch.setattr(classify, "_RERANK_ELEMENTS", 50)
+        rng = np.random.default_rng(3)
+        train = rng.integers(1, 5, size=(60, 6)) / 4.0
+        labels = [f"c{i % 4}" for i in range(60)]
+        queries = rng.integers(1, 5, size=(2 * classify._QUERY_BLOCK + 7, 6)) / 4.0
+        queries[::3] = train[rng.integers(0, 60, size=len(queries[::3]))]
+        cfg = KnnConfig(k=k, metric=metric, weighting=weighting)
+        assert_matches_reference(train, labels, queries, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("where", ["train", "query"])
+    @pytest.mark.parametrize("k, weighting", [(1, "uniform"), (3, "inverse_distance")])
+    def test_non_finite_and_overflowing_inputs(self, bad, where, k, weighting):
+        rng = np.random.default_rng(11)
+        train = rng.normal(size=(9, 3))
+        queries = rng.normal(size=(4, 3))
+        if where == "train":
+            train[4, 1] = bad
+        else:
+            queries[2, 0] = bad
+        labels = ["x", "y", "z"] * 3
+        cfg = KnnConfig(k=k, weighting=weighting)
+        assert_matches_reference(train, labels, queries, cfg)
+
+    @pytest.mark.parametrize("k, weighting", [(1, "uniform"), (3, "inverse_distance")])
+    def test_cancellation_near_large_norm_rows(self, k, weighting):
+        # distances around 1e-11 beside norms around 4e3: the GEMM form's
+        # rounding error swamps the gaps, so only the bound keeps it exact
+        rng = np.random.default_rng(29)
+        base = rng.uniform(100.0, 1000.0, size=64)
+        train = base + rng.normal(scale=1e-12, size=(200, 64))
+        queries = base + rng.normal(scale=1e-12, size=(20, 64))
+        labels = [f"item{i:03d}" for i in range(200)]
+        cfg = KnnConfig(k=k, weighting=weighting)
+        assert_matches_reference(train, labels, queries, cfg)
+
+    def test_sqrt_ties_keep_the_lower_index(self):
+        # squared distances 1 + 2**-52 and 1 differ, yet both sqrt to 1.0, so
+        # the index rule picks item 0: the farther item must stay a candidate
+        train = np.array([[1.0, 2.0**-26], [1.0, 0.0]])
+        squared = np.sum(train * train, axis=1)
+        assert squared[0] > squared[1] and np.sqrt(squared[0]) == np.sqrt(squared[1])
+        ds = LabeledDataset(train, ["far", "near"])
+        assert predict_batch(ds, np.zeros((1, 2)), KnnConfig()) == ["far"]
+        assert_matches_reference(train, ["far", "near"], np.zeros((1, 2)), KnnConfig())
+
+    def test_errors_are_raised_before_any_work(self):
+        empty = LabeledDataset(np.zeros((0, 2)), [])
+        assert predict_batch(empty, [], KnnConfig()) == []
+        with pytest.raises(EmptyTrainingSet):
+            predict_batch(empty, [np.zeros(2)], KnnConfig())
+        with pytest.raises(DimensionMismatch):
+            predict_batch(FIVE_POINTS, [QUERY, np.zeros(3)], KnnConfig())

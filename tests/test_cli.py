@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -264,6 +265,24 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["class_labels"] == ["left", "right"]
+
+    def test_one_class_corpus_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "corp"
+        synth_cfg = write_config(tmp_path / "s.json")
+        assert main(["synth", "--config", str(synth_cfg), "--out", str(corpus)]) == 0
+        kept = sorted(p.name for p in corpus.iterdir())[0]
+        for class_dir in corpus.iterdir():
+            if class_dir.name != kept:
+                shutil.rmtree(class_dir)
+        cfg = write_config(
+            tmp_path / "c.json",
+            io={"output": str(tmp_path / "out"), "input_root": str(corpus)},
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least two classes" in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_corrupt_dump_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -3,16 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import macro_f1_ref
+from oracles import knn_predict_exact_ref, macro_f1_ref
 from texture_nilm import (
+    DescriptorConfig,
     EvalConfig,
+    EventDetectorConfig,
     KnnConfig,
     LabeledDataset,
+    SynthConfig,
+    evaluation,
+    generate,
     macro_f1,
     run_eval,
     stratified_folds,
 )
-from texture_nilm.errors import InvalidConfig, TooFewSamplesPerClass
+from texture_nilm.errors import InvalidConfig, TooFewClasses, TooFewSamplesPerClass
+from texture_nilm.pipeline import (
+    dataset_from_records,
+    dataset_from_single_descriptor,
+    extract_records,
+)
 
 
 def dataset(labels, rng=None, dims=4):
@@ -149,6 +159,8 @@ class TestRunEval:
         ds = dataset(["only"] * 10)
         with pytest.raises(ValueError):
             run_eval(ds, KnnConfig(), EvalConfig(folds=2, seed=0))
+        with pytest.raises(TooFewClasses):
+            run_eval(ds, KnnConfig(), EvalConfig(folds=2, seed=0))
 
     def test_confusion_invariants(self):
         rng = np.random.default_rng(9)
@@ -186,3 +198,53 @@ class TestRunEval:
         assert rows[0] == "fold,accuracy,macro_f1"
         assert len(rows) == 5
         assert rows[-1].startswith("aggregate,")
+
+
+@pytest.fixture(scope="module")
+def small_corpus_datasets():
+    """sum, concat, lbp-only and wld-only datasets of a 10-signal-per-class corpus."""
+    synth = SynthConfig(signals_per_class=10, seed=20240601)
+    records = extract_records(
+        generate(synth), EventDetectorConfig(window_len=1024), DescriptorConfig()
+    )
+    return {
+        "sum": dataset_from_records(records, "sum"),
+        "concat": dataset_from_records(records, "concat"),
+        "lbp": dataset_from_single_descriptor(records, "lbp"),
+        "wld": dataset_from_single_descriptor(records, "wld"),
+    }
+
+
+def reference_predict_batch(train, queries, cfg):
+    return [
+        knn_predict_exact_ref(
+            train.vectors, train.labels, q, cfg.k, cfg.metric.value, cfg.weighting.value
+        )
+        for q in queries
+    ]
+
+
+class TestReportParity:
+    """Reports are byte-identical to those of the original per-query scan."""
+
+    @pytest.mark.parametrize("name", ["sum", "concat", "lbp", "wld"])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize(
+        "k, weighting",
+        [
+            (1, "uniform"),
+            (3, "uniform"),
+            (3, "inverse_distance"),
+            (5, "uniform"),
+            (5, "inverse_distance"),
+        ],
+    )
+    def test_matches_reference_loop(
+        self, small_corpus_datasets, monkeypatch, name, metric, k, weighting
+    ):
+        ds = small_corpus_datasets[name]
+        knn = KnnConfig(k=k, metric=metric, weighting=weighting)
+        cfg = EvalConfig(folds=10, seed=7)
+        fast = run_eval(ds, knn, cfg).to_json()
+        monkeypatch.setattr(evaluation, "predict_batch", reference_predict_batch)
+        assert run_eval(ds, knn, cfg).to_json() == fast
