@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTrainingSet, InvalidConfig
+from .errors import (
+    DimensionMismatch,
+    EmptyTrainingSet,
+    InvalidConfig,
+    NonFiniteDistance,
+)
 from .fusion import FeatureVector, FusionStrategy
 
 
@@ -180,7 +185,10 @@ def _vote(
         label = labels[i]
         votes[label] = votes.get(label, 0.0) + weight
     best = max(votes.values())
-    return min(label for label, weight in votes.items() if weight == best)
+    winners = [label for label, weight in votes.items() if weight == best]
+    if not winners:
+        raise NonFiniteDistance("a NaN distance made the neighbor vote undecidable")
+    return min(winners)
 
 
 def predict(

@@ -41,6 +41,10 @@ class EmptyTrainingSet(PipelineError):
     """Prediction requires at least one training vector."""
 
 
+class NonFiniteDistance(PipelineError, ValueError):
+    """A NaN distance left a weighted vote with no winning label."""
+
+
 class TooFewClasses(PipelineError, ValueError):
     """Evaluation needs at least two classes to tell apart."""
 

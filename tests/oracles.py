@@ -4,17 +4,26 @@ Everything in this module is deliberately scalar, loop-based and written
 directly from the operation definitions, so the vectorized production code
 can be cross-checked against a second, independent path. Keep it dumb.
 
-The one numpy function, :func:`knn_predict_exact_ref`, is a frozen copy of
-the original classifier rather than an independent derivation: it pins
-predictions bit for bit, where the scalar oracles only pin the definitions.
+Three functions are frozen copies of original production code rather than
+independent derivations: :func:`knn_predict_exact_ref` (the per-query
+classifier scan), :func:`load_csv_ref` (the row-by-row CSV reader) and
+:func:`write_corpus_ref` (the per-row corpus writer). They pin outputs bit
+for bit, and error messages too, where the scalar oracles only pin the
+definitions.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from texture_nilm.errors import MalformedCsv, NonMonotoneTimestamps
+from texture_nilm.signals import PowerSignal
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -219,3 +228,86 @@ def macro_f1_ref(confusion):
     if not scores:
         return 0.0
     return float(sum(scores) / len(scores))
+
+
+def _parse_timestamp_ref(raw, path):
+    text = raw.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        pass
+    else:
+        if not np.isfinite(value):
+            raise MalformedCsv(f"{path}: non-finite timestamp {raw!r}")
+        return value
+    try:
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        raise MalformedCsv(f"{path}: unparseable timestamp {raw!r}") from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
+def load_csv_ref(path, label, rate_override):
+    """One recording, frozen from the original row-by-row CSV reader."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedCsv(f"{path}: file is empty") from None
+        if tuple(col.strip() for col in header) != ("timestamp", "power_w"):
+            raise MalformedCsv(
+                f"{path}: expected header {'timestamp,power_w'!r}, got {header!r}"
+            )
+        timestamps = []
+        powers = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise MalformedCsv(f"{path}: line {lineno} has {len(row)} fields")
+            timestamps.append(_parse_timestamp_ref(row[0], path))
+            try:
+                power = float(row[1])
+            except ValueError:
+                raise MalformedCsv(
+                    f"{path}: line {lineno} has unparseable power {row[1]!r}"
+                ) from None
+            if not np.isfinite(power):
+                raise MalformedCsv(f"{path}: line {lineno} has non-finite power")
+            powers.append(power)
+
+    minimum_rows = 1 if rate_override else 2
+    if len(powers) < minimum_rows:
+        raise MalformedCsv(
+            f"{path}: {len(powers)} data rows; at least {minimum_rows} required"
+        )
+    ts = np.asarray(timestamps)
+    deltas = np.diff(ts)
+    if np.any(deltas <= 0):
+        raise NonMonotoneTimestamps(f"{path}: timestamps are not strictly increasing")
+    if rate_override:
+        rate = rate_override
+    else:
+        rate = 1.0 / float(np.median(deltas))
+    return PowerSignal(np.asarray(powers), rate, label, path.stem)
+
+
+def write_corpus_ref(signals, root):
+    """Frozen from the original corpus writer: one f-string per sample."""
+    root = Path(root)
+    counts = {}
+    for signal in sorted(signals, key=lambda s: (s.label, s.source_id)):
+        class_dir = root / signal.label
+        class_dir.mkdir(parents=True, exist_ok=True)
+        path = class_dir / f"{signal.source_id}.csv"
+        step = 1.0 / signal.sampling_rate_hz
+        lines = ["timestamp,power_w"]
+        for i, value in enumerate(signal.samples):
+            t = i * step
+            stamp = str(int(t)) if t == int(t) else repr(float(t))
+            lines.append(f"{stamp},{float(value)!r}")
+        path.write_text("\n".join(lines) + "\n")
+        counts[signal.label] = counts.get(signal.label, 0) + 1
+    return counts

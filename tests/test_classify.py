@@ -19,6 +19,7 @@ from texture_nilm.errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     InvalidConfig,
+    NonFiniteDistance,
 )
 
 FIVE_POINTS = LabeledDataset(
@@ -322,6 +323,13 @@ class TestExactParity:
         labels = ["x", "y", "z"] * 3
         cfg = KnnConfig(k=k, weighting=weighting)
         assert_matches_reference(train, labels, queries, cfg)
+
+    def test_nan_distances_in_a_weighted_vote_raise_a_named_error(self):
+        # every vote weight is NaN, so no label reaches the maximum
+        train = LabeledDataset(np.eye(3), ["a", "b", "c"])
+        cfg = KnnConfig(k=3, weighting="inverse_distance")
+        with pytest.raises(NonFiniteDistance):
+            predict_batch(train, [np.array([np.nan, 0.0, 0.0])], cfg)
 
     @pytest.mark.parametrize("k, weighting", [(1, "uniform"), (3, "inverse_distance")])
     def test_cancellation_near_large_norm_rows(self, k, weighting):

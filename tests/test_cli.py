@@ -185,6 +185,28 @@ class TestExtractCommand:
         assert "no events" in capsys.readouterr().err
         assert not (tmp_path / "out" / "features.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            (b"9," + b"0" * 200_000 + b"7", "line 11: field larger than field limit"),
+            (b"9,12\xff.5", "not readable as text"),
+        ],
+        ids=["long_field", "non_utf8"],
+    )
+    def test_unreadable_recording_exits_3(self, tmp_path, capsys, bad_row, message):
+        corpus = write_flat_corpus(tmp_path / "corpus")
+        rows = [b"timestamp,power_w"] + [b"%d,50.0" % t for t in range(9)]
+        bad = corpus / "box_a" / "bad.csv"
+        bad.write_bytes(b"\n".join(rows + [bad_row]) + b"\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            io={"output": str(tmp_path / "out"), "input_root": str(corpus)},
+        )
+        assert main(["extract", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and message in err
+        assert not (tmp_path / "out" / "features.jsonl").exists()
+
     def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.json")
         dump = tmp_path / "out" / "features.jsonl"
@@ -298,6 +320,16 @@ class TestEvalCommand:
             io={"output": str(tmp_path / "out"), "input_root": str(corpus)},
         )
         assert main(["eval", "--config", str(cfg)]) == 4
+
+    def test_non_utf8_dump_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        dump = tmp_path / "out" / "features.jsonl"
+        dump.parent.mkdir(parents=True)
+        dump.write_bytes(b'{"label": "\xff"}\n')
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not readable as text" in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_fingerprints_differ_only_in_strategy(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", io=_seeded_io(tmp_path, 11))

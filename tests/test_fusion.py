@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from texture_nilm import DescriptorHistogram, FeatureVector, FusionStrategy, fuse
+from texture_nilm.classify import LabeledDataset
 from texture_nilm.errors import DegenerateProduct, EmptyHistogram
+from texture_nilm.pipeline import WindowRecord, dataset_from_records
 
 
 def hist(bins, kind="lbp"):
@@ -127,3 +129,92 @@ class TestFeatureVector:
         fv = FeatureVector(np.full(256, 1 / 256), "sum")
         assert fv.l1 == pytest.approx(1.0, abs=1e-12)
         assert fv.strategy is FusionStrategy.SUM
+
+
+def per_record_dataset(records, strategy):
+    """The dataset fused one record at a time, as fuse() defines it."""
+    pairs = []
+    for r in records:
+        lbp = DescriptorHistogram(r.lbp, "lbp")
+        wld = DescriptorHistogram(r.wld, "wld")
+        pairs.append((fuse(lbp, wld, strategy), r.label))
+    return LabeledDataset.from_feature_vectors(pairs)
+
+
+def outcome(build, records, strategy):
+    try:
+        ds = build(records, strategy)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return ds.vectors.shape, ds.vectors.tobytes(), ds.labels, ds.strategy
+
+
+def random_records(rng, count, dtype=np.int64):
+    records = []
+    for i in range(count):
+        # sparse and dense rows, small and large counts
+        density = rng.choice([0.02, 0.3, 1.0])
+        scale = rng.choice([3, 1000, 10**9])
+        lbp = rng.integers(0, scale, 256) * (rng.random(256) < density)
+        wld = rng.integers(0, scale, 256) * (rng.random(256) < density)
+        lbp[0] += 1
+        wld[0] += 1
+        records.append(
+            WindowRecord(f"c{i % 3}", f"s{i}", i, lbp.astype(dtype), wld.astype(dtype))
+        )
+    return records
+
+
+class TestBatchedDatasetFusion:
+    """dataset_from_records fuses all records at once, bitwise as fuse()."""
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_matches_per_record_fuse(self, strategy, dtype):
+        records = random_records(np.random.default_rng(23), 300, dtype)
+        expected = outcome(per_record_dataset, records, strategy)
+        assert not isinstance(expected[0], type)
+        assert outcome(dataset_from_records, records, strategy) == expected
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            {2: ("wld", "empty"), 4: ("lbp", "empty")},
+            {3: ("lbp", "empty"), 4: ("wld", "empty")},
+            {3: ("both", "empty")},
+            {1: ("wld", "negative"), 2: ("lbp", "empty")},
+            {5: ("lbp", "nan")},
+            {2: ("wld", "short")},
+            {3: ("both", "disjoint")},
+        ],
+    )
+    def test_first_failing_record_raises_fuse_error(self, strategy, breakage):
+        records = random_records(np.random.default_rng(31), 8, np.float64)
+        for index, (kind, how) in breakage.items():
+            r = records[index]
+            for name in ("lbp", "wld") if kind == "both" else (kind,):
+                bins = getattr(r, name).copy()
+                if how == "empty":
+                    bins[:] = 0
+                elif how == "negative":
+                    bins[7] = -1
+                elif how == "nan":
+                    bins[7] = np.nan
+                elif how == "short":
+                    bins = bins[:100]
+                else:  # lbp on even bins, wld on odd ones
+                    bins[:] = 0
+                    bins[0 if name == "lbp" else 1] = 4
+                setattr(r, name, bins)
+        expected = outcome(per_record_dataset, records, strategy)
+        # disjoint supports only have no product; sum and concat still fuse
+        disjoint_only = {how for _, how in breakage.values()} == {"disjoint"}
+        if strategy is FusionStrategy.MULT or not disjoint_only:
+            assert isinstance(expected[0], type)
+        assert outcome(dataset_from_records, records, strategy) == expected
+
+    def test_no_records(self):
+        assert outcome(dataset_from_records, [], "sum") == outcome(
+            per_record_dataset, [], "sum"
+        )
