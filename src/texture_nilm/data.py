@@ -6,15 +6,17 @@ The synthetic generator emits six appliance archetypes that differ in steady
 level, transition shape and periodicity, so texture descriptors can separate
 them without redistributing any real corpus.
 
-Reading a recording first tries a whole-file numeric parse: when the header
-is exactly `timestamp,power_w`, the file has no quotes and no carriage
-returns, every line holds exactly one comma, and every field parses as a
-finite ``float``, the values are returned without the CSV module. Anything
-else (ISO-8601 timestamps, CRLF line endings, quoting, blank lines, empty or
-non-finite fields, too few rows) is read again by the row-by-row parser,
-which gives the same signal or raises the same error with its line number.
-ISO-timestamp corpora therefore always take the row parser and read no
-faster. Writing builds each file's text with one join over bulk-converted
+Reading a recording first tries a numeric fast path: when the header is
+exactly `timestamp,power_w`, the file has no quotes and no carriage returns,
+every line holds exactly one comma, and every field parses as a finite
+``float``, the values are parsed with string and numpy operations over
+blocks of whole lines, without the CSV module. The first data line is tried
+on its own before any bulk work. Anything else (ISO-8601 timestamps, CRLF
+line endings, quoting, blank lines, empty or non-finite fields, text that is
+not UTF-8, too few rows) is read again from the start by the row-by-row
+parser, which gives the same signal or raises the same error with its line
+number. ISO-timestamp corpora therefore always take the row parser and gain
+nothing. Writing builds each file's text with one join over bulk-converted
 values, with the same bytes as formatting each row on its own.
 """
 
@@ -37,6 +39,8 @@ from .signals import PowerSignal
 
 CSV_HEADER = ("timestamp", "power_w")
 _PLAIN_HEADER = ",".join(CSV_HEADER) + "\n"
+# characters per read of the numeric fast path
+_BLOCK_CHARS = 1 << 16
 
 ARCHETYPES = (
     "square_wave",
@@ -100,18 +104,16 @@ def _parse_timestamp(raw: str, path: Path) -> float:
     return dt.timestamp()
 
 
-def _read_numeric(text: str) -> np.ndarray | None:
-    """(rows, 2) timestamps and powers of a plain numeric file, else None.
+def _parse_lines(text: str, field_limit: int) -> np.ndarray | None:
+    """(rows, 2) values of newline-separated `timestamp,power` lines, else None.
 
-    Only files that the row parser reads into exactly these values are
-    accepted; None sends the file to :func:`_read_rows`.
+    Only lines that the row parser reads into exactly these values are
+    accepted: one comma per line, no quotes or carriage returns, no field
+    longer than the csv module allows, and every field a finite ``float``.
     """
-    if not text.startswith(_PLAIN_HEADER) or '"' in text or "\r" in text:
+    if '"' in text or "\r" in text:
         return None
-    body = text[len(_PLAIN_HEADER) :]
-    if body.endswith("\n"):
-        body = body[:-1]
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     # comma, newline, comma, ...: exactly one comma on every line
     if (
@@ -120,12 +122,11 @@ def _read_numeric(text: str) -> np.ndarray | None:
         or np.any(raw[seps[1::2]] != ord("\n"))
     ):
         return None
-    # the csv module rejects a field longer than its limit; a field's length
-    # in bytes is at least its length in characters
+    # a field's length in bytes is at least its length in characters
     field_bytes = np.diff(seps, prepend=-1, append=raw.size) - 1
-    if field_bytes.max() > csv.field_size_limit():
+    if field_bytes.max() > field_limit:
         return None
-    fields = body.replace("\n", ",").split(",")
+    fields = text.replace("\n", ",").split(",")
     try:
         values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
     except ValueError:
@@ -133,6 +134,44 @@ def _read_numeric(text: str) -> np.ndarray | None:
     if not np.all(np.isfinite(values)):
         return None
     return values.reshape(-1, 2)
+
+
+def _read_numeric(fh) -> np.ndarray | None:
+    """(rows, 2) timestamps and powers of a plain numeric file, else None.
+
+    The text is parsed in blocks of whole lines, so it is never held whole.
+    None sends the file to :func:`_read_rows`, possibly after part of it was
+    read.
+    """
+    if fh.readline(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+        return None
+    field_limit = csv.field_size_limit()
+    # a line with one comma and no field over the limit is at most this long
+    line_limit = 2 * field_limit + 1
+    # the first line alone, so a file that is not plain numbers (ISO-8601
+    # stamps, say) goes to the row parser before any bulk work
+    pending = fh.readline(line_limit + 1)
+    if _parse_lines(pending.removesuffix("\n"), field_limit) is None:
+        return None
+    parts = []
+    while True:
+        block = fh.read(_BLOCK_CHARS)
+        lines, newline, pending = (pending + block).rpartition("\n")
+        if newline:
+            part = _parse_lines(lines, field_limit)
+            if part is None:
+                return None
+            parts.append(part)
+        if not block:
+            break
+        if len(pending) > line_limit:
+            return None
+    if pending:
+        part = _parse_lines(pending, field_limit)
+        if part is None:
+            return None
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 def _read_rows(fh, path: Path) -> tuple[list[float], list[float]]:
@@ -169,7 +208,12 @@ def _read_rows(fh, path: Path) -> tuple[list[float], list[float]]:
 def _load_csv(path: Path, label: str, rate_override: float | None) -> PowerSignal:
     try:
         with open(path, newline="") as fh:
-            pairs = _read_numeric(fh.read())
+            try:
+                pairs = _read_numeric(fh)
+            except UnicodeDecodeError:
+                # the row parser decodes as it goes, so a bad row ahead of
+                # the undecodable byte is the error it reports
+                pairs = None
             if pairs is None:
                 fh.seek(0)
                 timestamps, powers = _read_rows(fh, path)

@@ -48,10 +48,44 @@ class FeatureVector:
         return float(self.values.sum())
 
 
-def _normalized(h: DescriptorHistogram) -> np.ndarray:
-    if h.total == 0:
-        raise EmptyHistogram(f"{h.kind} histogram has zero total mass")
-    return np.asarray(h.bins, dtype=np.float64) / h.total
+def fuse_rows(
+    lbp: np.ndarray, wld: np.ndarray, strategy: FusionStrategy | str
+) -> np.ndarray:
+    """Fuse stacked (n, 256) LBP and WLD histograms, one window per row.
+
+    Row i of the result is the fused, L1-normalized vector of ``lbp[i]`` and
+    ``wld[i]``. Rows must be finite and non-negative. An all-zero histogram
+    raises :class:`EmptyHistogram` (LBP checked before WLD) and, for
+    multiplication, an all-zero product raises :class:`DegenerateProduct`.
+    """
+    strategy = FusionStrategy(strategy)
+    lbp = np.asarray(lbp)
+    wld = np.asarray(wld)
+    for bins in (lbp, wld):
+        if bins.ndim != 2 or bins.shape[1:] != (HISTOGRAM_BINS,):
+            raise ValueError(f"histograms must be stacked rows of {HISTOGRAM_BINS} bins")
+        if not np.all(np.isfinite(bins)) or np.any(bins < 0):
+            raise ValueError("bins must be finite and non-negative")
+    if lbp.shape != wld.shape:
+        raise ValueError("one WLD histogram per LBP histogram required")
+    lbp_total = lbp.sum(axis=1)
+    wld_total = wld.sum(axis=1)
+    for kind, total in (("lbp", lbp_total), ("wld", wld_total)):
+        if np.any(total == 0):
+            raise EmptyHistogram(f"{kind} histogram has zero total mass")
+    a = lbp.astype(np.float64) / lbp_total.astype(np.float64)[:, None]
+    b = wld.astype(np.float64) / wld_total.astype(np.float64)[:, None]
+    if strategy is FusionStrategy.SUM:
+        v = a + b
+    elif strategy is FusionStrategy.CONCAT:
+        v = np.concatenate([a, b], axis=1)
+    else:
+        v = a * b
+        if not np.all(v.any(axis=1)):
+            raise DegenerateProduct(
+                "histograms have disjoint support; their product is all-zero"
+            )
+    return v / v.sum(axis=1)[:, None]
 
 
 def fuse(
@@ -66,16 +100,6 @@ def fuse(
     with disjoint support would normalize the zero vector and is rejected.
     """
     strategy = FusionStrategy(strategy)
-    a = _normalized(h_lbp)
-    b = _normalized(h_wld)
-    if strategy is FusionStrategy.SUM:
-        v = a + b
-    elif strategy is FusionStrategy.CONCAT:
-        v = np.concatenate([a, b])
-    else:
-        v = a * b
-        if not v.any():
-            raise DegenerateProduct(
-                "histograms have disjoint support; their product is all-zero"
-            )
-    return FeatureVector(v / v.sum(), strategy)
+    return FeatureVector(
+        fuse_rows(h_lbp.bins[None], h_wld.bins[None], strategy)[0], strategy
+    )

@@ -23,8 +23,8 @@ from .descriptors import (
     lbp_histogram,
     wld_histogram,
 )
-from .errors import InvalidConfig, MalformedCsv
-from .fusion import FusionStrategy, fuse
+from .errors import InvalidConfig, MalformedCsv, PipelineError
+from .fusion import FusionStrategy, fuse, fuse_rows
 from .signals import EventDetectorConfig, PowerSignal, detect_events, impute_zeros
 from .transform2d import reshape
 
@@ -148,69 +148,35 @@ def load_records(path: str | Path) -> list[WindowRecord]:
     return records
 
 
-def _fuse_stacked(
-    records: list[WindowRecord], strategy: FusionStrategy
-) -> np.ndarray | None:
-    """Every record's :func:`fuse` vector as one matrix row, or None.
-
-    The arithmetic is fuse's, row by row, so the rows are bitwise the vectors
-    it returns. None means some record fails one of fuse's checks (or is not
-    a numeric 256-bin pair), and the caller fuses record by record instead.
-    """
-    try:
-        lbp = np.array([r.lbp for r in records])
-        wld = np.array([r.wld for r in records])
-    except ValueError:  # ragged histograms
-        return None
-    shape = (len(records), HISTOGRAM_BINS)
-    for bins in (lbp, wld):
-        if bins.shape != shape or bins.dtype.kind not in "iuf":
-            return None
-        if not np.all(np.isfinite(bins)) or bins.min() < 0:
-            return None
-    lbp_total = lbp.sum(axis=1)
-    wld_total = wld.sum(axis=1)
-    if np.any(lbp_total == 0) or np.any(wld_total == 0):
-        return None
-    a = lbp.astype(np.float64) / lbp_total.astype(np.float64)[:, None]
-    b = wld.astype(np.float64) / wld_total.astype(np.float64)[:, None]
-    if strategy is FusionStrategy.SUM:
-        v = a + b
-    elif strategy is FusionStrategy.CONCAT:
-        v = np.concatenate([a, b], axis=1)
-    else:
-        v = a * b
-        if not np.all(v.any(axis=1)):
-            return None
-    fused = v / v.sum(axis=1)[:, None]
-    # FeatureVector's checks, with its comparisons, so NaN passes as there
-    l1 = fused.sum(axis=1)
-    if np.any(fused.min(axis=1) < 0) or np.any(np.abs(l1 - 1.0) > 1e-9):
-        return None
-    return fused
-
-
 def dataset_from_records(
     records: list[WindowRecord], strategy: FusionStrategy | str
 ) -> LabeledDataset:
     """Fuse every record's histogram pair into one labeled dataset.
 
-    All records are fused at once; if any fails a check, they are fused one
-    at a time so the first failing record raises :func:`fuse`'s own error.
+    All records are fused at once by :func:`fuse_rows`; if that fails, they
+    are fused one at a time so the first failing record raises its own error.
     """
     strategy = FusionStrategy(strategy)
-    stacked = _fuse_stacked(records, strategy)
-    if stacked is not None:
-        return LabeledDataset(stacked, [r.label for r in records], strategy)
-    pairs = []
-    for r in records:
-        fused = fuse(
-            DescriptorHistogram(r.lbp, "lbp"),
-            DescriptorHistogram(r.wld, "wld"),
+    try:
+        vectors = fuse_rows(
+            np.array([r.lbp for r in records]),
+            np.array([r.wld for r in records]),
             strategy,
         )
-        pairs.append((fused, r.label))
-    return LabeledDataset.from_feature_vectors(pairs)
+    except (TypeError, ValueError, PipelineError):
+        pairs = [
+            (
+                fuse(
+                    DescriptorHistogram(r.lbp, "lbp"),
+                    DescriptorHistogram(r.wld, "wld"),
+                    strategy,
+                ),
+                r.label,
+            )
+            for r in records
+        ]
+        return LabeledDataset.from_feature_vectors(pairs)
+    return LabeledDataset(vectors, [r.label for r in records], strategy)
 
 
 def dataset_from_single_descriptor(

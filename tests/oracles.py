@@ -4,9 +4,10 @@ Everything in this module is deliberately scalar, loop-based and written
 directly from the operation definitions, so the vectorized production code
 can be cross-checked against a second, independent path. Keep it dumb.
 
-Three functions are frozen copies of original production code rather than
+Four functions are frozen copies of original production code rather than
 independent derivations: :func:`knn_predict_exact_ref` (the per-query
-classifier scan), :func:`load_csv_ref` (the row-by-row CSV reader) and
+classifier scan), :func:`fuse_ref` (the one-window histogram fusion),
+:func:`load_csv_ref` (the row-by-row CSV reader) and
 :func:`write_corpus_ref` (the per-row corpus writer). They pin outputs bit
 for bit, and error messages too, where the scalar oracles only pin the
 definitions.
@@ -22,7 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from texture_nilm.errors import MalformedCsv, NonMonotoneTimestamps
+from texture_nilm.errors import (
+    DegenerateProduct,
+    EmptyHistogram,
+    MalformedCsv,
+    NonMonotoneTimestamps,
+)
 from texture_nilm.signals import PowerSignal
 
 TWO_PI = 2.0 * math.pi
@@ -207,6 +213,28 @@ def knn_predict_exact_ref(
         votes[labels[i]] = votes.get(labels[i], 0.0) + weight
     best = max(votes.values())
     return min(label for label, weight in votes.items() if weight == best)
+
+
+def fuse_ref(lbp_bins, wld_bins, strategy):
+    """Fused vector values, frozen from the original one-window fuse."""
+    normalized = []
+    for kind, bins in (("lbp", lbp_bins), ("wld", wld_bins)):
+        total = float(np.asarray(bins).sum())
+        if total == 0:
+            raise EmptyHistogram(f"{kind} histogram has zero total mass")
+        normalized.append(np.asarray(bins, dtype=np.float64) / total)
+    a, b = normalized
+    if strategy == "sum":
+        v = a + b
+    elif strategy == "concat":
+        v = np.concatenate([a, b])
+    else:
+        v = a * b
+        if not v.any():
+            raise DegenerateProduct(
+                "histograms have disjoint support; their product is all-zero"
+            )
+    return v / v.sum()
 
 
 def macro_f1_ref(confusion):

@@ -8,6 +8,8 @@ written byte for byte the same.
 
 import csv
 import shutil
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import load_csv_ref, write_corpus_ref
-from texture_nilm import PowerSignal, load_dataset, write_corpus
-from texture_nilm.data import _load_csv
+from texture_nilm import PowerSignal, data, load_dataset, write_corpus
+from texture_nilm.data import _load_csv, _read_numeric
 from texture_nilm.errors import MalformedCsv
 
 HEADER = "timestamp,power_w"
@@ -41,6 +43,30 @@ def assert_reader_parity(path, text, rate=None):
     assert outcome(_load_csv, path, rate) == outcome(load_csv_ref, path, rate)
 
 
+@contextmanager
+def block_chars(n):
+    """Read the fast path's blocks n characters at a time (None: default)."""
+    with mock.patch.object(data, "_BLOCK_CHARS", n or data._BLOCK_CHARS):
+        yield
+
+
+@contextmanager
+def csv_field_limit(n):
+    old = csv.field_size_limit(n)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+def fast_path_values(path):
+    with open(path, newline="") as fh:
+        return _read_numeric(fh)
+
+
+BLOCKS = [None, 1, 3, 16]
+
+
 # -- reader ---------------------------------------------------------------
 
 NAMED_FILES = {
@@ -63,6 +89,7 @@ NAMED_FILES = {
     "three_fields": "0,1,2\n1,2\n",
     "balanced_fields": "0,1,2\n3\n",
     "balanced_three_rows": "0,1.0,2\n3\n4,5.0\n",
+    "balanced_after_first_row": "0,1\n1,2,3\n4\n5,6\n",
     "empty_power": "0,\n1,2\n",
     "empty_timestamp": ",1\n1,2\n",
     "nan_power": "0,nan\n1,2\n",
@@ -81,8 +108,10 @@ NAMED_FILES = {
 
 @pytest.mark.parametrize("name", sorted(NAMED_FILES))
 @pytest.mark.parametrize("rate", [None, 2.0])
-def test_named_files_match_reference(tmp_path, name, rate):
-    assert_reader_parity(tmp_path / "f.csv", HEADER + "\n" + NAMED_FILES[name], rate)
+@pytest.mark.parametrize("block", BLOCKS)
+def test_named_files_match_reference(tmp_path, name, rate, block):
+    with block_chars(block):
+        assert_reader_parity(tmp_path / "f.csv", HEADER + "\n" + NAMED_FILES[name], rate)
 
 
 @pytest.mark.parametrize(
@@ -177,13 +206,85 @@ def csv_files(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(csv_files(), st.sampled_from([None, 1.0, 30000.0]))
-@example(HEADER + "\n0,1,2\n3\n", None)
-@example(HEADER + "\n0,1.0,2\n3\n4,5.0\n", None)
-@example(HEADER + "\n0,1\n", None)
-@example(HEADER + "\n0,1\n", 1.0)
-def test_generated_files_match_reference(tmp_path, text, rate):
-    assert_reader_parity(tmp_path / "f.csv", text, rate)
+@given(csv_files(), st.sampled_from([None, 1.0, 30000.0]), st.sampled_from(BLOCKS))
+@example(HEADER + "\n0,1,2\n3\n", None, None)
+@example(HEADER + "\n0,1.0,2\n3\n4,5.0\n", None, None)
+@example(HEADER + "\n0,1.0,2\n3\n4,5.0\n", None, 3)
+@example(HEADER + "\n0,1\n1,2,3\n4\n5,6\n", None, None)
+@example(HEADER + "\n0,1\n", None, None)
+@example(HEADER + "\n0,1\n", 1.0, None)
+def test_generated_files_match_reference(tmp_path, text, rate, block):
+    with block_chars(block):
+        assert_reader_parity(tmp_path / "f.csv", text, rate)
+
+
+def long_body(rows=3000, bad_row=None, bad="0,1,2"):
+    lines = [f"{i},{i * 0.37 + 1e-3!r}" for i in range(rows)]
+    if bad_row is not None:
+        lines[bad_row] = bad
+    return HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+class TestBlocks:
+    """Files longer than one block, read in blocks of whole lines."""
+
+    @pytest.mark.parametrize("block", [None, 7, 64, 4096])
+    def test_plain_file_takes_the_fast_path(self, tmp_path, block):
+        path = tmp_path / "f.csv"
+        with block_chars(block):
+            assert_reader_parity(path, long_body())
+            assert fast_path_values(path).shape == (3000, 2)
+
+    @pytest.mark.parametrize("block", [None, 7, 64, 4096])
+    @pytest.mark.parametrize("bad_row", [1, 1499, 2999])
+    @pytest.mark.parametrize(
+        "bad", ["0,1,2", "5", "", "2021-03-01T00:00:00,1", "7,nan", '7,"1"', "7,1\r"]
+    )
+    def test_bad_row_in_a_later_block_falls_back(self, tmp_path, block, bad_row, bad):
+        path = tmp_path / "f.csv"
+        with block_chars(block):
+            assert_reader_parity(path, long_body(bad_row=bad_row, bad=bad))
+            assert fast_path_values(path) is None
+
+    def test_first_line_rejects_before_bulk_work(self, tmp_path):
+        path = tmp_path / "iso.csv"
+        first = "2021-03-01T00:00:00,1.0\n"
+        body = "".join(f"2021-03-01T00:{i // 60:02d}:{i % 60:02d},1.0\n" for i in range(1, 3000))
+        path.write_text(HEADER + "\n" + first + body)
+        with open(path, newline="") as fh:
+            assert _read_numeric(fh) is None
+            # only the header and the first data line were read
+            assert fh.tell() == len(HEADER) + 1 + len(first)
+        assert_reader_parity(path, HEADER + "\n" + first + body)
+
+    @pytest.mark.parametrize("block", [None, 4])
+    @pytest.mark.parametrize("row", [1, 2, 40])
+    def test_line_over_the_field_limit(self, tmp_path, block, row):
+        path = tmp_path / "long.csv"
+        lines = [f"{i},1" for i in range(60)]
+        lines[row - 1] = f"{row},{'0' * 30}7"
+        path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
+        with csv_field_limit(10), block_chars(block):
+            assert fast_path_values(path) is None
+            with pytest.raises(MalformedCsv, match=f"line {row + 1}: field larger"):
+                _load_csv(path, "tv", None)
+
+    def test_long_line_stops_the_fast_path_early(self, tmp_path):
+        path = tmp_path / "long.csv"
+        head = HEADER + "\n0,1\n1,2\n2,"
+        path.write_text(head + "0" * 5000 + "7\n3,4\n")
+        with csv_field_limit(10), block_chars(4), open(path, newline="") as fh:
+            assert _read_numeric(fh) is None
+            # given up once the unfinished line was longer than any valid one
+            assert fh.tell() < len(head) + 2 * 10 + 2 + 4
+
+    @pytest.mark.parametrize("block", [None, 4])
+    def test_fields_at_the_field_limit(self, tmp_path, block):
+        lines = [f"{i:010d},{'0' * 9}7" for i in range(60)]
+        path = tmp_path / "edge.csv"
+        with csv_field_limit(10), block_chars(block):
+            assert_reader_parity(path, HEADER + "\n" + "\n".join(lines))
+            assert fast_path_values(path).shape == (60, 2)
 
 
 class TestUnreadableInput:
@@ -200,11 +301,27 @@ class TestUnreadableInput:
         assert_reader_parity(path, f"{HEADER}\n0,1\n1,{digits}\n")
         assert _load_csv(path, "tv", None).samples.tolist() == [1.0, 7.0]
 
-    def test_non_utf8_byte(self, tmp_path):
+    @pytest.mark.parametrize("rows", [1, 200_000])
+    def test_non_utf8_byte(self, tmp_path, rows):
         path = tmp_path / "bytes.csv"
-        path.write_bytes(HEADER.encode() + b"\n0,1\n1,2\xff\n")
+        body = "".join(f"{i},1\n" for i in range(rows)).encode()
+        path.write_bytes(HEADER.encode() + b"\n" + body + b"1e9,2\xff\n")
         with pytest.raises(MalformedCsv, match=r"bytes\.csv: not readable as text"):
             _load_csv(path, "tv", None)
+
+    @pytest.mark.parametrize(
+        "head", ["time,power\n0,1\n", HEADER + "\n0,1\n1,2,3\n", HEADER + "\n0,1\n1,watts\n"]
+    )
+    def test_row_error_ahead_of_a_non_utf8_byte(self, tmp_path, head):
+        # the row parser decodes as it reads, so an error in the rows before
+        # an undecodable byte further on is the one reported
+        tail = "".join(f"{i},1\n" for i in range(2, 3000)).encode()
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(head.encode() + tail + b"9999,2\xff\n")
+        assert len(head.encode() + tail) > 8192
+        expected = outcome(load_csv_ref, path, None)
+        assert expected[0] is MalformedCsv
+        assert outcome(_load_csv, path, None) == expected
 
 
 # -- writer ---------------------------------------------------------------

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fuse_ref
 from texture_nilm import DescriptorHistogram, FeatureVector, FusionStrategy, fuse
 from texture_nilm.classify import LabeledDataset
 from texture_nilm.errors import DegenerateProduct, EmptyHistogram
+from texture_nilm.fusion import fuse_rows
 from texture_nilm.pipeline import WindowRecord, dataset_from_records
 
 
@@ -218,3 +220,63 @@ class TestBatchedDatasetFusion:
         assert outcome(dataset_from_records, [], "sum") == outcome(
             per_record_dataset, [], "sum"
         )
+
+
+def random_rows(rng, count):
+    """Real-valued histogram rows, sparse and dense, across magnitudes."""
+    scale = rng.choice([1e-3, 1.0, 1e6], size=(count, 1))
+    density = rng.choice([0.02, 0.3, 1.0], size=(count, 1))
+    rows = rng.random((count, 256)) * scale * (rng.random((count, 256)) < density)
+    rows[:, 0] += scale[:, 0]
+    return rows
+
+
+class TestFuseRows:
+    """fuse_rows and fuse against the frozen original one-window fusion."""
+
+    @pytest.mark.parametrize("strategy", ["sum", "concat", "mult"])
+    def test_rows_match_original_fuse(self, strategy):
+        rng = np.random.default_rng(41)
+        for lbp, wld in [
+            (random_rows(rng, 200), random_rows(rng, 200)),
+            (rng.integers(0, 10**9, (200, 256)), rng.integers(1, 9, (200, 256))),
+        ]:
+            fused = fuse_rows(lbp, wld, strategy)
+            for i in range(len(lbp)):
+                expected = fuse_ref(lbp[i], wld[i], strategy).tobytes()
+                assert fused[i].tobytes() == expected
+                one = fuse(hist(lbp[i], "lbp"), hist(wld[i], "wld"), strategy)
+                assert one.values.tobytes() == fuse_ref(
+                    hist(lbp[i]).bins, hist(wld[i]).bins, strategy
+                ).tobytes()
+
+    @pytest.mark.parametrize("kind", ["lbp", "wld"])
+    def test_empty_row_names_its_descriptor(self, kind):
+        rows = {"lbp": np.ones((3, 256)), "wld": np.ones((3, 256))}
+        rows[kind][1] = 0
+        with pytest.raises(EmptyHistogram, match=f"^{kind} histogram"):
+            fuse_rows(rows["lbp"], rows["wld"], "sum")
+
+    def test_disjoint_row_has_no_product(self):
+        lbp, wld = np.ones((3, 256)), np.ones((3, 256))
+        lbp[2, 1:] = 0
+        wld[2, 0] = 0
+        assert fuse_rows(lbp, wld, "sum").shape == (3, 256)
+        with pytest.raises(DegenerateProduct):
+            fuse_rows(lbp, wld, "mult")
+
+    @pytest.mark.parametrize(
+        "lbp",
+        [
+            -np.ones((2, 256)),
+            np.full((2, 256), np.nan),
+            np.ones((2, 255)),
+            np.ones(256),
+            np.ones((1, 256)),
+            np.ones((3, 256)),
+        ],
+    )
+    @pytest.mark.parametrize("strategy", ["sum", "concat", "mult"])
+    def test_invalid_rows_rejected(self, lbp, strategy):
+        with pytest.raises(ValueError):
+            fuse_rows(lbp, np.ones((2, 256)), strategy)
