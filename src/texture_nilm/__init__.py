@@ -12,12 +12,8 @@ from .data import ARCHETYPES, SynthConfig, generate, load_dataset, write_corpus
 from .descriptors import (
     DescriptorConfig,
     DescriptorHistogram,
-    WldResponse,
-    gradient_orientation,
-    lbp_code,
     lbp_histogram,
     wld_histogram,
-    wld_response,
 )
 from .evaluation import EvalConfig, EvalReport, macro_f1, run_eval, stratified_folds
 from .fusion import FeatureVector, FusionStrategy, fuse
@@ -47,13 +43,10 @@ __all__ = [
     "PowerSignal",
     "SynthConfig",
     "VoteWeighting",
-    "WldResponse",
     "detect_events",
     "fuse",
     "generate",
-    "gradient_orientation",
     "impute_zeros",
-    "lbp_code",
     "lbp_histogram",
     "load_dataset",
     "macro_f1",
@@ -63,7 +56,6 @@ __all__ = [
     "run_eval",
     "stratified_folds",
     "wld_histogram",
-    "wld_response",
     "write_corpus",
     "__version__",
 ]

@@ -35,7 +35,6 @@ from .pipeline import (
     extract_records,
     load_records,
     records_to_jsonl,
-    worker_count,
 )
 
 EXIT_OK = 0
@@ -103,9 +102,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    records = extract_records(
-        _resolve_signals(cfg), cfg.detector, cfg.descriptor, workers=worker_count()
-    )
+    records = extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor)
     if not records:
         _err("no events detected in any signal")
         return EXIT_NO_EVENTS
@@ -124,9 +121,7 @@ def _records_for_eval(cfg: PipelineConfig):
     dump = Path(cfg.io.output) / "features.jsonl"
     if dump.is_file():
         return load_records(dump)
-    return extract_records(
-        _resolve_signals(cfg), cfg.detector, cfg.descriptor, workers=worker_count()
-    )
+    return extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor)
 
 
 def _single_report_doc(cfg: PipelineConfig, report: EvalReport) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, OutOfInterior
+from .errors import InvalidConfig
 from .transform2d import Matrix2D
 
 HISTOGRAM_BINS = 256
@@ -99,42 +99,12 @@ class DescriptorHistogram:
         self.total = float(self.bins.sum())
 
 
-@dataclass(frozen=True)
-class WldResponse:
-    """Per-cell WLD measurements, in radians.
-
-    ``excitation`` lies in (-pi/2, pi/2), ``orientation`` in [0, 2*pi).
-    """
-
-    excitation: float
-    orientation: float
-
-
-def _require_interior(m: Matrix2D, r: int, c: int) -> None:
-    if not (1 <= r <= m.rows - 2 and 1 <= c <= m.cols - 2):
-        raise OutOfInterior(
-            f"cell ({r}, {c}) is not interior to a {m.rows}x{m.cols} matrix"
-        )
-
-
-def lbp_code(m: Matrix2D, r: int, c: int) -> int:
-    """Local binary pattern code of an interior cell, in [0, 255].
-
-    Neighbor n contributes bit n when its value is >= the center (ties count
-    as 1), walking the ring clockwise from the top-left neighbor.
-    """
-    _require_interior(m, r, c)
-    g = m.cells
-    center = g[r, c]
-    code = 0
-    for bit, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        if g[r + dr, c + dc] - center >= 0:
-            code |= 1 << bit
-    return code
-
-
 def lbp_histogram(m: Matrix2D) -> DescriptorHistogram:
-    """Histogram of LBP codes over all interior cells."""
+    """Histogram of LBP codes over all interior cells.
+
+    Neighbor n contributes bit n of a cell's code when its value is >= the
+    center (ties count as 1), walking the ring clockwise from the top-left.
+    """
     g = m.cells
     center = g[1:-1, 1:-1]
     codes = np.zeros(center.shape, dtype=np.int64)
@@ -145,41 +115,13 @@ def lbp_histogram(m: Matrix2D) -> DescriptorHistogram:
     return DescriptorHistogram(bins=bins, kind="lbp")
 
 
-def gradient_orientation(vertical_diff: float, horizontal_diff: float) -> float:
-    """Quadrant-aware angle of the difference vector, mapped to [0, 2*pi).
-
-    The zero vector maps to 0 by convention. Adding 2*pi to a tiny negative
-    arctangent can round to exactly 2*pi, which the final wrap folds back to 0
-    to keep the half-open range.
-    """
-    theta = math.atan2(vertical_diff, horizontal_diff)
-    if theta < 0.0:
-        theta += TWO_PI
-    if theta >= TWO_PI:
-        theta = 0.0
-    return theta
-
-
-def wld_response(m: Matrix2D, r: int, c: int, cfg: DescriptorConfig) -> WldResponse:
-    """Differential excitation and gradient orientation at an interior cell.
+def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
+    """Joint orientation-by-excitation WLD histogram, flattened to 256 bins.
 
     Excitation is arctan(sum(neighbor - center) / max(center, epsilon)); the
     epsilon guard is needed because quantization can produce centers of 0 even
     after zero repair. Orientation is the angle of (bottom-minus-top,
-    left-minus-right).
-    """
-    _require_interior(m, r, c)
-    g = m.cells
-    center = int(g[r, c])
-    ring = sum(int(g[r + dr, c + dc]) for dr, dc in NEIGHBOR_OFFSETS)
-    excitation = math.atan((ring - 8 * center) / max(center, cfg.epsilon))
-    vertical = int(g[r + 1, c]) - int(g[r - 1, c])
-    horizontal = int(g[r, c - 1]) - int(g[r, c + 1])
-    return WldResponse(excitation, gradient_orientation(vertical, horizontal))
-
-
-def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
-    """Joint orientation-by-excitation WLD histogram, flattened to 256 bins.
+    left-minus-right) mapped to [0, 2*pi), with the zero vector at 0.
 
     Orientation is cut into ``cfg.orientation_bins`` uniform bins over
     [0, 2*pi) and excitation into ``cfg.excitation_bins`` uniform bins over
@@ -198,6 +140,7 @@ def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
     horizontal = (g[1:-1, :-2] - g[1:-1, 2:]).astype(np.float64)
     orientation = np.arctan2(vertical, horizontal)
     orientation = np.where(orientation < 0.0, orientation + TWO_PI, orientation)
+    # adding 2*pi to a tiny negative angle can round to exactly 2*pi
     orientation = np.where(orientation >= TWO_PI, 0.0, orientation)
 
     t = np.minimum(

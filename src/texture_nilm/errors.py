@@ -21,10 +21,6 @@ class MatrixTooSmall(PipelineError):
     """A matrix has no interior cells (needs at least 3 rows and 3 columns)."""
 
 
-class OutOfInterior(PipelineError):
-    """A descriptor was asked about a border cell."""
-
-
 class EmptyHistogram(PipelineError):
     """A histogram with total mass zero cannot be normalized."""
 

@@ -1,4 +1,4 @@
-"""End-to-end wiring shared by the CLI and the experiment scripts.
+"""End-to-end wiring behind the CLI commands.
 
 A "record" is one extracted event window: its label, provenance and the two
 raw 256-bin descriptor histograms. Records are what the feature dump stores
@@ -8,8 +8,6 @@ raw 256-bin descriptor histograms. Records are what the feature dump stores
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,12 +21,10 @@ from .descriptors import (
     lbp_histogram,
     wld_histogram,
 )
-from .errors import InvalidConfig, MalformedCsv, PipelineError
+from .errors import MalformedCsv, PipelineError
 from .fusion import FusionStrategy, fuse, fuse_rows
 from .signals import EventDetectorConfig, PowerSignal, detect_events, impute_zeros
 from .transform2d import reshape
-
-THREADS_ENV_VAR = "TEXTURE_NILM_THREADS"
 
 
 @dataclass
@@ -38,20 +34,6 @@ class WindowRecord:
     onset_index: int
     lbp: np.ndarray
     wld: np.ndarray
-
-
-def worker_count(env: dict | None = None) -> int:
-    """Worker cap from TEXTURE_NILM_THREADS; 0 or unset means auto."""
-    raw = (env if env is not None else os.environ).get(THREADS_ENV_VAR, "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfig(
-            f"{THREADS_ENV_VAR} must be a non-negative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise InvalidConfig(f"{THREADS_ENV_VAR} must be non-negative, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 def _extract_one(
@@ -79,22 +61,18 @@ def extract_records(
     signals: list[PowerSignal],
     detector: EventDetectorConfig,
     descriptor: DescriptorConfig,
-    workers: int = 1,
 ) -> list[WindowRecord]:
     """Run repair, event detection and both descriptors over a corpus.
 
     Signals are processed in (label, source_id) order and their windows kept
-    in onset order, so the output is identical for any worker count.
+    in onset order, so the output does not depend on the order of ``signals``.
     """
     ordered = sorted(signals, key=lambda s: (s.label, s.source_id))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_signal = list(
-                pool.map(lambda s: _extract_one(s, detector, descriptor), ordered)
-            )
-    else:
-        per_signal = [_extract_one(s, detector, descriptor) for s in ordered]
-    return [record for group in per_signal for record in group]
+    return [
+        record
+        for signal in ordered
+        for record in _extract_one(signal, detector, descriptor)
+    ]
 
 
 def record_to_json(record: WindowRecord) -> str:
@@ -135,15 +113,23 @@ def load_records(path: str | Path) -> list[WindowRecord]:
                 label=str(obj["label"]),
                 source_id=str(obj["source_id"]),
                 onset_index=int(obj["onset_index"]),
-                lbp=np.asarray(obj["lbp"], dtype=np.int64),
-                wld=np.asarray(obj["wld"], dtype=np.int64),
+                lbp=np.asarray(obj["lbp"]),
+                wld=np.asarray(obj["wld"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCsv(f"{path}: line {lineno}: bad record: {exc}") from exc
-        if record.lbp.shape != (HISTOGRAM_BINS,) or record.wld.shape != (HISTOGRAM_BINS,):
-            raise MalformedCsv(
-                f"{path}: line {lineno}: histograms must have {HISTOGRAM_BINS} bins"
-            )
+        for kind, bins in (("lbp", record.lbp), ("wld", record.wld)):
+            if bins.shape != (HISTOGRAM_BINS,):
+                raise MalformedCsv(
+                    f"{path}: line {lineno}: histograms must have {HISTOGRAM_BINS} bins"
+                )
+            # a list of JSON integers that all fit decodes to int64; a float,
+            # a string or an out-of-range integer anywhere gives another dtype
+            if bins.dtype != np.int64 or bins.min() < 0:
+                raise MalformedCsv(
+                    f"{path}: line {lineno}: {kind} counts must be "
+                    "non-negative integers that fit in int64"
+                )
         records.append(record)
     return records
 
@@ -177,16 +163,3 @@ def dataset_from_records(
         ]
         return LabeledDataset.from_feature_vectors(pairs)
     return LabeledDataset(vectors, [r.label for r in records], strategy)
-
-
-def dataset_from_single_descriptor(
-    records: list[WindowRecord], kind: str
-) -> LabeledDataset:
-    """L1-normalized single-descriptor dataset for ablation comparisons."""
-    if kind not in ("lbp", "wld"):
-        raise ValueError("kind must be 'lbp' or 'wld'")
-    vectors = []
-    for r in records:
-        bins = np.asarray(getattr(r, kind), dtype=np.float64)
-        vectors.append(bins / bins.sum())
-    return LabeledDataset(np.vstack(vectors), [r.label for r in records])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from texture_nilm import DescriptorConfig, Matrix2D
+from texture_nilm import DescriptorConfig, LabeledDataset, Matrix2D
 
 
 @pytest.fixture
@@ -17,6 +17,17 @@ def random_matrix(rng: np.random.Generator, rows: int = 8, cols: int = 8) -> Mat
 
 def constant_matrix(value: int, rows: int, cols: int | None = None) -> Matrix2D:
     return Matrix2D(np.full((rows, cols or rows), value, dtype=np.int64))
+
+
+def dataset_from_single_descriptor(records, kind: str) -> LabeledDataset:
+    """L1-normalized single-descriptor dataset for ablation comparisons."""
+    if kind not in ("lbp", "wld"):
+        raise ValueError("kind must be 'lbp' or 'wld'")
+    vectors = []
+    for r in records:
+        bins = np.asarray(getattr(r, kind), dtype=np.float64)
+        vectors.append(bins / bins.sum())
+    return LabeledDataset(np.vstack(vectors), [r.label for r in records])
 
 
 def write_config(path, **overrides):

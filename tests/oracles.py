@@ -149,17 +149,21 @@ def wld_response_ref(cells, r, c, epsilon=1.0):
     return excitation, orientation
 
 
+def wld_bin_ref(excitation, orientation, orientation_bins=8, excitation_bins=32):
+    t = min(int(orientation / TWO_PI * orientation_bins), orientation_bins - 1)
+    e = int((excitation + HALF_PI) / math.pi * excitation_bins)
+    e = min(max(e, 0), excitation_bins - 1)
+    return t * excitation_bins + e
+
+
 def wld_histogram_ref(cells, orientation_bins=8, excitation_bins=32, epsilon=1.0):
     rows = len(cells)
     cols = len(cells[0])
     bins = [0] * (orientation_bins * excitation_bins)
     for r in range(1, rows - 1):
         for c in range(1, cols - 1):
-            excitation, orientation = wld_response_ref(cells, r, c, epsilon)
-            t = min(int(orientation / TWO_PI * orientation_bins), orientation_bins - 1)
-            e = int((excitation + HALF_PI) / math.pi * excitation_bins)
-            e = min(max(e, 0), excitation_bins - 1)
-            bins[t * excitation_bins + e] += 1
+            response = wld_response_ref(cells, r, c, epsilon)
+            bins[wld_bin_ref(*response, orientation_bins, excitation_bins)] += 1
     return bins
 
 

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import random
 import shutil
 
 import pytest
 
 from conftest import write_config
-from texture_nilm import FusionStrategy, SynthConfig
+from texture_nilm import (
+    DescriptorConfig,
+    EventDetectorConfig,
+    FusionStrategy,
+    SynthConfig,
+    generate,
+)
 from texture_nilm.cli import main
 from texture_nilm.config import (
     apply_overrides,
@@ -14,6 +21,7 @@ from texture_nilm.config import (
     load_config,
 )
 from texture_nilm.errors import InvalidConfig
+from texture_nilm.pipeline import extract_records, records_to_jsonl
 
 
 def sha(path):
@@ -207,20 +215,17 @@ class TestExtractCommand:
         assert err.startswith("error: ") and str(bad) in err and message in err
         assert not (tmp_path / "out" / "features.jsonl").exists()
 
-    def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "c.json")
-        dump = tmp_path / "out" / "features.jsonl"
-        monkeypatch.setenv("TEXTURE_NILM_THREADS", "1")
-        assert main(["extract", "--config", str(cfg)]) == 0
-        serial = sha(dump)
-        monkeypatch.setenv("TEXTURE_NILM_THREADS", "4")
-        assert main(["extract", "--config", str(cfg)]) == 0
-        assert sha(dump) == serial
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "c.json")
-        monkeypatch.setenv("TEXTURE_NILM_THREADS", "lots")
-        assert main(["extract", "--config", str(cfg)]) == 2
+    def test_signal_order_does_not_change_output(self):
+        signals = generate(SynthConfig(signals_per_class=3, signal_len=1024, seed=5))
+        shuffled = list(signals)
+        random.Random(3).shuffle(shuffled)
+        assert [s.source_id for s in shuffled] != [s.source_id for s in signals]
+        detector = EventDetectorConfig(window_len=256)
+        dumps = [
+            records_to_jsonl(extract_records(batch, detector, DescriptorConfig()))
+            for batch in (signals, shuffled)
+        ]
+        assert dumps[0] and dumps[1] == dumps[0]
 
 
 class TestEvalCommand:
@@ -320,6 +325,25 @@ class TestEvalCommand:
             io={"output": str(tmp_path / "out"), "input_root": str(corpus)},
         )
         assert main(["eval", "--config", str(cfg)]) == 4
+
+    @pytest.mark.parametrize(
+        "count", ["-1", "1e30", "1.5", "9223372036854775808"],
+        ids=["negative", "huge_float", "fraction", "over_int64"],
+    )
+    def test_bad_dump_count_exits_3(self, tmp_path, capsys, count):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["extract", "--config", str(cfg)]) == 0
+        dump = tmp_path / "out" / "features.jsonl"
+        first, rest = dump.read_text().split("\n", 1)
+        record = json.loads(first)
+        record["wld"][0] = "@"
+        dump.write_text(json.dumps(record).replace('"@"', count) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(dump) in err
+        assert "line 1: wld counts must be non-negative integers" in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_non_utf8_dump_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

@@ -9,6 +9,7 @@ from conftest import constant_matrix, random_matrix
 from oracles import (
     lbp_code_ref,
     lbp_histogram_ref,
+    wld_bin_ref,
     wld_histogram_ref,
     wld_response_ref,
 )
@@ -16,13 +17,10 @@ from texture_nilm import (
     DescriptorConfig,
     DescriptorHistogram,
     Matrix2D,
-    gradient_orientation,
-    lbp_code,
     lbp_histogram,
     wld_histogram,
-    wld_response,
 )
-from texture_nilm.errors import InvalidConfig, OutOfInterior
+from texture_nilm.errors import InvalidConfig
 
 EXAMPLE_CELLS = [[5, 9, 1, 3], [7, 4, 8, 2], [6, 4, 4, 9], [1, 2, 3, 4]]
 
@@ -72,48 +70,61 @@ class TestDescriptorHistogram:
         assert DescriptorHistogram(bins, "lbp").total == 6
 
 
+def single_vote(hist: DescriptorHistogram) -> int:
+    """Bin of the one vote in the histogram of a matrix with one interior cell."""
+    (index,) = np.flatnonzero(hist.bins)
+    assert hist.bins[index] == 1
+    return int(index)
+
+
+def wld_vote(cells, cfg: DescriptorConfig | None = None) -> int:
+    return single_vote(wld_histogram(Matrix2D(cells), cfg or DescriptorConfig()))
+
+
+def gradient_cells(vertical: int, horizontal: int) -> list[list[int]]:
+    """3x3 cells whose center has the given bottom-minus-top and
+    left-minus-right differences, with every other cell 0."""
+    cells = [[0] * 3 for _ in range(3)]
+    cells[0][1], cells[2][1] = max(-vertical, 0), max(vertical, 0)
+    cells[1][0], cells[1][2] = max(horizontal, 0), max(-horizontal, 0)
+    return cells
+
+
 class TestLbpCode:
+    """Per-cell LBP codes, read off the one vote of a 3x3 matrix's histogram."""
+
     def test_constant_neighborhood_gives_all_ones(self):
-        assert lbp_code(constant_matrix(7, 5), 2, 2) == 255
+        assert single_vote(lbp_histogram(constant_matrix(7, 3))) == 255
 
     def test_dominant_center_gives_zero(self):
         cells = np.zeros((3, 3), dtype=int)
         cells[1, 1] = 255
-        assert lbp_code(Matrix2D(cells), 1, 1) == 0
+        assert single_vote(lbp_histogram(Matrix2D(cells))) == 0
 
     def test_worked_example(self):
         # oracle-computed before the build: neighbors (5,9,1,8,4,4,6,7) vs
         # center 4 give bits 1,1,0,1,1,1,1,1 -> 251
-        m = Matrix2D(EXAMPLE_CELLS)
-        assert lbp_code(m, 1, 1) == 251
-        assert lbp_code(m, 1, 1) == lbp_code_ref(EXAMPLE_CELLS, 1, 1)
-
-    @pytest.mark.parametrize("r,c", [(0, 0), (0, 1), (3, 3), (1, 0), (2, 3)])
-    def test_border_cells_rejected(self, r, c):
-        with pytest.raises(OutOfInterior):
-            lbp_code(Matrix2D(EXAMPLE_CELLS), r, c)
+        cells = [row[:3] for row in EXAMPLE_CELLS[:3]]
+        assert single_vote(lbp_histogram(Matrix2D(cells))) == 251
+        assert lbp_code_ref(cells, 1, 1) == 251
 
     @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=12345), st.integers(0, 55))
     def test_invariant_under_constant_shift(self, seed, shift):
         rng = np.random.default_rng(seed)
         base = rng.integers(0, 200, size=(5, 5))
-        shifted = Matrix2D(base + shift)
-        original = Matrix2D(base)
-        for r in range(1, 4):
-            for c in range(1, 4):
-                assert lbp_code(original, r, c) == lbp_code(shifted, r, c)
+        assert (
+            lbp_histogram(Matrix2D(base)).bins.tolist()
+            == lbp_histogram(Matrix2D(base + shift)).bins.tolist()
+        )
 
     @settings(max_examples=40)
     @given(st.integers(min_value=0, max_value=99999))
     def test_code_range_and_reference(self, seed):
-        m = random_matrix(np.random.default_rng(seed), 5, 5)
-        cells = m.cells.tolist()
-        for r in range(1, 4):
-            for c in range(1, 4):
-                code = lbp_code(m, r, c)
-                assert 0 <= code <= 255
-                assert code == lbp_code_ref(cells, r, c)
+        m = random_matrix(np.random.default_rng(seed), 3, 3)
+        code = single_vote(lbp_histogram(m))
+        assert 0 <= code <= 255
+        assert code == lbp_code_ref(m.cells.tolist(), 1, 1)
 
 
 class TestLbpHistogram:
@@ -141,49 +152,48 @@ class TestLbpHistogram:
 
 
 class TestWldResponse:
-    def test_constant_neighborhood(self, descriptor_cfg):
-        response = wld_response(constant_matrix(42, 3), 1, 1, descriptor_cfg)
-        assert response.excitation == 0.0
-        assert response.orientation == 0.0
+    """Per-cell WLD responses, checked on the scalar oracle and against the
+    one vote of a 3x3 matrix's histogram."""
 
-    def test_uniformly_brighter_ring(self, descriptor_cfg):
+    def test_constant_neighborhood(self):
+        cells = constant_matrix(42, 3).cells.tolist()
+        assert wld_response_ref(cells, 1, 1) == (0.0, 0.0)
+        # orientation bin 0, excitation bin 16
+        assert wld_vote(cells) == wld_bin_ref(0.0, 0.0) == 16
+
+    def test_uniformly_brighter_ring(self):
         cells = np.full((3, 3), 2, dtype=int)
         cells[1, 1] = 1
-        response = wld_response(Matrix2D(cells), 1, 1, descriptor_cfg)
-        assert response.excitation == math.atan(8.0)
-        assert response.excitation == pytest.approx(1.4464, abs=1e-4)
+        excitation, orientation = wld_response_ref(cells.tolist(), 1, 1)
+        assert excitation == math.atan(8.0)
+        assert excitation == pytest.approx(1.4464, abs=1e-4)
+        assert wld_vote(cells) == wld_bin_ref(excitation, orientation)
 
-    def test_pure_vertical_difference(self, descriptor_cfg):
+    def test_pure_vertical_difference(self):
         # bottom - top = 3, left - right = 0
         cells = [[0, 1, 0], [2, 5, 2], [0, 4, 0]]
-        response = wld_response(Matrix2D(cells), 1, 1, descriptor_cfg)
-        assert response.orientation == math.pi / 2.0
+        excitation, orientation = wld_response_ref(cells, 1, 1)
+        assert orientation == math.pi / 2.0
+        assert wld_vote(cells) // 32 == 2
+        assert wld_vote(cells) == wld_bin_ref(excitation, orientation)
 
     def test_epsilon_guards_zero_center(self):
         cells = np.zeros((3, 3), dtype=int)
         cells[0, 1] = 10
-        cfg = DescriptorConfig(epsilon=1.0)
-        response = wld_response(Matrix2D(cells), 1, 1, cfg)
-        assert response.excitation == math.atan(10.0)
-
-    def test_border_rejected(self, descriptor_cfg):
-        with pytest.raises(OutOfInterior):
-            wld_response(constant_matrix(5, 3), 0, 1, descriptor_cfg)
+        excitation, orientation = wld_response_ref(cells.tolist(), 1, 1, epsilon=1.0)
+        assert excitation == math.atan(10.0)
+        assert wld_vote(cells, DescriptorConfig(epsilon=1.0)) == wld_bin_ref(
+            excitation, orientation
+        )
 
     @settings(max_examples=60)
     @given(st.integers(0, 99999))
     def test_matches_reference(self, seed):
-        cfg = DescriptorConfig()
-        m = random_matrix(np.random.default_rng(seed), 5, 5)
-        cells = m.cells.tolist()
-        for r in range(1, 4):
-            for c in range(1, 4):
-                got = wld_response(m, r, c, cfg)
-                exc, ori = wld_response_ref(cells, r, c)
-                assert got.excitation == exc
-                assert got.orientation == ori
-                assert -math.pi / 2 <= got.excitation <= math.pi / 2
-                assert 0.0 <= got.orientation < 2.0 * math.pi
+        m = random_matrix(np.random.default_rng(seed), 3, 3)
+        excitation, orientation = wld_response_ref(m.cells.tolist(), 1, 1)
+        assert -math.pi / 2 <= excitation <= math.pi / 2
+        assert 0.0 <= orientation < 2.0 * math.pi
+        assert wld_vote(m.cells) == wld_bin_ref(excitation, orientation)
 
     @settings(max_examples=80)
     @given(st.integers(0, 9999), st.integers(0, 7), st.integers(1, 30))
@@ -194,21 +204,31 @@ class TestWldResponse:
         bumped = base.copy()
         dr, dc = ring[which]
         bumped[1 + dr, 1 + dc] += bump
-        cfg = DescriptorConfig()
-        low = wld_response(Matrix2D(base), 1, 1, cfg).excitation
-        high = wld_response(Matrix2D(bumped), 1, 1, cfg).excitation
+        low = wld_response_ref(base.tolist(), 1, 1)[0]
+        high = wld_response_ref(bumped.tolist(), 1, 1)[0]
         assert high > low
+        # the excitation part of the joint bin never decreases
+        assert wld_vote(bumped) % 32 >= wld_vote(base) % 32
 
 
 class TestGradientOrientation:
+    """Orientation of the (vertical, horizontal) difference vector, on the
+    scalar oracle and as the orientation part of the histogram's one vote."""
+
     def test_zero_vector_convention(self):
-        assert gradient_orientation(0.0, 0.0) == 0.0
+        assert wld_response_ref(gradient_cells(0, 0), 1, 1)[1] == 0.0
+        assert wld_vote(gradient_cells(0, 0)) // 32 == 0
 
     def test_quadrants(self):
-        assert gradient_orientation(0.0, 1.0) == 0.0
-        assert gradient_orientation(1.0, 0.0) == math.pi / 2
-        assert gradient_orientation(0.0, -1.0) == math.pi
-        assert gradient_orientation(-1.0, 0.0) == 1.5 * math.pi
+        for vertical, horizontal, angle, orientation_bin in [
+            (0, 1, 0.0, 0),
+            (1, 0, math.pi / 2, 2),
+            (0, -1, math.pi, 4),
+            (-1, 0, 1.5 * math.pi, 6),
+        ]:
+            cells = gradient_cells(vertical, horizontal)
+            assert wld_response_ref(cells, 1, 1)[1] == angle
+            assert wld_vote(cells) // 32 == orientation_bin
 
     @settings(max_examples=100)
     @given(
@@ -218,11 +238,14 @@ class TestGradientOrientation:
     def test_antipode_shifts_by_pi(self, v, h):
         if v == 0 and h == 0:
             return
-        theta = gradient_orientation(v, h)
-        anti = gradient_orientation(-v, -h)
+        theta = wld_response_ref(gradient_cells(v, h), 1, 1)[1]
+        anti = wld_response_ref(gradient_cells(-v, -h), 1, 1)[1]
         assert 0.0 <= theta < 2.0 * math.pi
         diff = abs((anti - theta) % (2.0 * math.pi))
         assert min(diff, 2.0 * math.pi - diff) == pytest.approx(math.pi, abs=1e-12)
+        assert wld_vote(gradient_cells(v, h)) == wld_bin_ref(
+            *wld_response_ref(gradient_cells(v, h), 1, 1)
+        )
 
 
 class TestWldHistogram:

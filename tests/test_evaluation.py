@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dataset_from_single_descriptor
 from oracles import knn_predict_exact_ref, macro_f1_ref
 from texture_nilm import (
     DescriptorConfig,
@@ -18,11 +19,7 @@ from texture_nilm import (
     stratified_folds,
 )
 from texture_nilm.errors import InvalidConfig, TooFewClasses, TooFewSamplesPerClass
-from texture_nilm.pipeline import (
-    dataset_from_records,
-    dataset_from_single_descriptor,
-    extract_records,
-)
+from texture_nilm.pipeline import dataset_from_records, extract_records
 
 
 def dataset(labels, rng=None, dims=4):
