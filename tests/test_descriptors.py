@@ -238,14 +238,13 @@ class TestGradientOrientation:
     def test_antipode_shifts_by_pi(self, v, h):
         if v == 0 and h == 0:
             return
-        theta = wld_response_ref(gradient_cells(v, h), 1, 1)[1]
+        cells = gradient_cells(v, h)
+        excitation, theta = wld_response_ref(cells, 1, 1)
         anti = wld_response_ref(gradient_cells(-v, -h), 1, 1)[1]
         assert 0.0 <= theta < 2.0 * math.pi
         diff = abs((anti - theta) % (2.0 * math.pi))
         assert min(diff, 2.0 * math.pi - diff) == pytest.approx(math.pi, abs=1e-12)
-        assert wld_vote(gradient_cells(v, h)) == wld_bin_ref(
-            *wld_response_ref(gradient_cells(v, h), 1, 1)
-        )
+        assert wld_vote(cells) == wld_bin_ref(excitation, theta)
 
 
 class TestWldHistogram:
