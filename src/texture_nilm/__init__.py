@@ -16,7 +16,7 @@ from .descriptors import (
     wld_histogram,
 )
 from .evaluation import EvalConfig, EvalReport, macro_f1, run_eval, stratified_folds
-from .fusion import FeatureVector, FusionStrategy, fuse
+from .fusion import FusionStrategy
 from .signals import (
     EventDetectorConfig,
     EventWindow,
@@ -34,7 +34,6 @@ __all__ = [
     "EvalReport",
     "EventDetectorConfig",
     "EventWindow",
-    "FeatureVector",
     "FusionStrategy",
     "KnnConfig",
     "LabeledDataset",
@@ -44,7 +43,6 @@ __all__ = [
     "SynthConfig",
     "VoteWeighting",
     "detect_events",
-    "fuse",
     "generate",
     "impute_zeros",
     "lbp_histogram",

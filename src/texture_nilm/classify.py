@@ -36,7 +36,7 @@ from .errors import (
     InvalidConfig,
     NonFiniteDistance,
 )
-from .fusion import FeatureVector, FusionStrategy
+from .fusion import FusionStrategy
 
 
 class Metric(str, enum.Enum):
@@ -93,33 +93,12 @@ class LabeledDataset:
         if self.vectors.shape[0] != len(self.labels):
             raise ValueError("one label per vector required")
 
-    @classmethod
-    def from_feature_vectors(
-        cls, items: list[tuple[FeatureVector, str]]
-    ) -> "LabeledDataset":
-        if not items:
-            raise ValueError("at least one item required")
-        strategies = {fv.strategy for fv, _ in items}
-        if len(strategies) != 1:
-            raise ValueError("all feature vectors must share one fusion strategy")
-        return cls(
-            np.vstack([fv.values for fv, _ in items]),
-            [label for _, label in items],
-            strategies.pop(),
-        )
-
     @property
     def class_set(self) -> list[str]:
         return sorted(set(self.labels))
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
-
-
-def _as_vector(query: FeatureVector | np.ndarray) -> np.ndarray:
-    if isinstance(query, FeatureVector):
-        return query.values
-    return np.asarray(query, dtype=np.float64)
 
 
 def _euclidean_candidates(train: np.ndarray, queries: list[np.ndarray], k: int):
@@ -192,7 +171,7 @@ def _vote(
 
 
 def predict(
-    train: LabeledDataset, query: FeatureVector | np.ndarray, cfg: KnnConfig
+    train: LabeledDataset, query: np.ndarray, cfg: KnnConfig
 ) -> str:
     """Label of the (weighted) majority among the k nearest training vectors."""
     return predict_batch(train, [query], cfg)[0]
@@ -200,11 +179,11 @@ def predict(
 
 def predict_batch(
     train: LabeledDataset,
-    queries: np.ndarray | list[FeatureVector | np.ndarray],
+    queries: np.ndarray | list[np.ndarray],
     cfg: KnnConfig,
 ) -> list[str]:
     """:func:`predict` for every query; output order matches query order."""
-    qs = [_as_vector(q) for q in queries]
+    qs = [np.asarray(q, dtype=np.float64) for q in queries]
     if not qs:
         return []
     if len(train) == 0:

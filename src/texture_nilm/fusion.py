@@ -2,17 +2,18 @@
 
 Both inputs are L1-normalized before combining and the result is normalized
 again, so histograms coming from matrices with different interior counts are
-commensurable and every feature vector is a probability vector.
+commensurable and every feature vector is a probability vector. All windows
+are fused at once, one per row; when some cannot be fused, the first failing
+row names the error.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import HISTOGRAM_BINS, DescriptorHistogram
+from .descriptors import HISTOGRAM_BINS
 from .errors import DegenerateProduct, EmptyHistogram
 
 
@@ -22,41 +23,17 @@ class FusionStrategy(str, enum.Enum):
     MULT = "mult"
 
 
-@dataclass
-class FeatureVector:
-    """Fused, L1-normalized feature representation of one event window."""
-
-    values: np.ndarray
-    strategy: FusionStrategy
-
-    def __post_init__(self) -> None:
-        self.strategy = FusionStrategy(self.strategy)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        expected = 2 * HISTOGRAM_BINS if self.strategy is FusionStrategy.CONCAT else HISTOGRAM_BINS
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"{self.strategy.value} vectors must have {expected} components, "
-                f"got {self.values.shape}"
-            )
-        if self.values.min() < 0:
-            raise ValueError("feature values must be non-negative")
-        if abs(self.l1 - 1.0) > 1e-9:
-            raise ValueError(f"feature vector must be L1-normalized, sum={self.l1!r}")
-
-    @property
-    def l1(self) -> float:
-        return float(self.values.sum())
-
-
 def fuse_rows(
     lbp: np.ndarray, wld: np.ndarray, strategy: FusionStrategy | str
 ) -> np.ndarray:
     """Fuse stacked (n, 256) LBP and WLD histograms, one window per row.
 
     Row i of the result is the fused, L1-normalized vector of ``lbp[i]`` and
-    ``wld[i]``. Rows must be finite and non-negative. An all-zero histogram
-    raises :class:`EmptyHistogram` (LBP checked before WLD) and, for
-    multiplication, an all-zero product raises :class:`DegenerateProduct`.
+    ``wld[i]``: 256 components for sum and product, 512 for concatenation
+    (LBP first). Rows must be finite and non-negative. The lowest row that
+    cannot be fused raises: :class:`EmptyHistogram` for an all-zero LBP
+    histogram, then for an all-zero WLD one, and, for multiplication,
+    :class:`DegenerateProduct` for histograms with disjoint support.
     """
     strategy = FusionStrategy(strategy)
     lbp = np.asarray(lbp)
@@ -70,36 +47,26 @@ def fuse_rows(
         raise ValueError("one WLD histogram per LBP histogram required")
     lbp_total = lbp.sum(axis=1)
     wld_total = wld.sum(axis=1)
-    for kind, total in (("lbp", lbp_total), ("wld", wld_total)):
-        if np.any(total == 0):
-            raise EmptyHistogram(f"{kind} histogram has zero total mass")
-    a = lbp.astype(np.float64) / lbp_total.astype(np.float64)[:, None]
-    b = wld.astype(np.float64) / wld_total.astype(np.float64)[:, None]
+    # an empty row divides 0 by 0; it raises below, before its NaNs are used
+    with np.errstate(invalid="ignore"):
+        a = lbp.astype(np.float64) / lbp_total.astype(np.float64)[:, None]
+        b = wld.astype(np.float64) / wld_total.astype(np.float64)[:, None]
     if strategy is FusionStrategy.SUM:
         v = a + b
     elif strategy is FusionStrategy.CONCAT:
         v = np.concatenate([a, b], axis=1)
     else:
         v = a * b
-        if not np.all(v.any(axis=1)):
-            raise DegenerateProduct(
-                "histograms have disjoint support; their product is all-zero"
-            )
+    failing = (lbp_total == 0) | (wld_total == 0)
+    if strategy is FusionStrategy.MULT:
+        failing |= ~v.any(axis=1)
+    if failing.any():
+        row = int(failing.argmax())
+        if lbp_total[row] == 0:
+            raise EmptyHistogram("lbp histogram has zero total mass")
+        if wld_total[row] == 0:
+            raise EmptyHistogram("wld histogram has zero total mass")
+        raise DegenerateProduct(
+            "histograms have disjoint support; their product is all-zero"
+        )
     return v / v.sum(axis=1)[:, None]
-
-
-def fuse(
-    h_lbp: DescriptorHistogram,
-    h_wld: DescriptorHistogram,
-    strategy: FusionStrategy | str,
-) -> FeatureVector:
-    """Combine an LBP and a WLD histogram into one feature vector.
-
-    Summation and multiplication keep 256 components; concatenation appends
-    the WLD histogram after the LBP one for 512. Multiplication of histograms
-    with disjoint support would normalize the zero vector and is rejected.
-    """
-    strategy = FusionStrategy(strategy)
-    return FeatureVector(
-        fuse_rows(h_lbp.bins[None], h_wld.bins[None], strategy)[0], strategy
-    )

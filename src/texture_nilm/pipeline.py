@@ -14,15 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .classify import LabeledDataset
-from .descriptors import (
-    DescriptorConfig,
-    DescriptorHistogram,
-    HISTOGRAM_BINS,
-    lbp_histogram,
-    wld_histogram,
-)
-from .errors import MalformedCsv, PipelineError
-from .fusion import FusionStrategy, fuse, fuse_rows
+from .descriptors import DescriptorConfig, HISTOGRAM_BINS, lbp_histogram, wld_histogram
+from .errors import MalformedCsv
+from .fusion import FusionStrategy, fuse_rows
 from .signals import EventDetectorConfig, PowerSignal, detect_events, impute_zeros
 from .transform2d import reshape
 
@@ -81,8 +75,8 @@ def record_to_json(record: WindowRecord) -> str:
             "label": record.label,
             "source_id": record.source_id,
             "onset_index": record.onset_index,
-            "lbp": [int(v) for v in record.lbp],
-            "wld": [int(v) for v in record.wld],
+            "lbp": record.lbp.tolist(),
+            "wld": record.wld.tolist(),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -110,14 +104,21 @@ def load_records(path: str | Path) -> list[WindowRecord]:
             raise MalformedCsv(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
         try:
             record = WindowRecord(
-                label=str(obj["label"]),
-                source_id=str(obj["source_id"]),
-                onset_index=int(obj["onset_index"]),
+                label=obj["label"],
+                source_id=obj["source_id"],
+                onset_index=obj["onset_index"],
                 lbp=np.asarray(obj["lbp"]),
                 wld=np.asarray(obj["wld"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCsv(f"{path}: line {lineno}: bad record: {exc}") from exc
+        if not (isinstance(record.label, str) and isinstance(record.source_id, str)):
+            raise MalformedCsv(f"{path}: line {lineno}: label and source_id must be strings")
+        # bool is a subclass of int, so JSON true must be ruled out by type
+        if type(record.onset_index) is not int or record.onset_index < 0:
+            raise MalformedCsv(
+                f"{path}: line {lineno}: onset_index must be a non-negative integer"
+            )
         for kind, bins in (("lbp", record.lbp), ("wld", record.wld)):
             if bins.shape != (HISTOGRAM_BINS,):
                 raise MalformedCsv(
@@ -139,27 +140,13 @@ def dataset_from_records(
 ) -> LabeledDataset:
     """Fuse every record's histogram pair into one labeled dataset.
 
-    All records are fused at once by :func:`fuse_rows`; if that fails, they
-    are fused one at a time so the first failing record raises its own error.
+    All records are fused at once by :func:`fuse_rows`, so the first record
+    that cannot be fused raises its own error.
     """
     strategy = FusionStrategy(strategy)
-    try:
-        vectors = fuse_rows(
-            np.array([r.lbp for r in records]),
-            np.array([r.wld for r in records]),
-            strategy,
-        )
-    except (TypeError, ValueError, PipelineError):
-        pairs = [
-            (
-                fuse(
-                    DescriptorHistogram(r.lbp, "lbp"),
-                    DescriptorHistogram(r.wld, "wld"),
-                    strategy,
-                ),
-                r.label,
-            )
-            for r in records
-        ]
-        return LabeledDataset.from_feature_vectors(pairs)
+    vectors = fuse_rows(
+        np.array([r.lbp for r in records]),
+        np.array([r.wld for r in records]),
+        strategy,
+    )
     return LabeledDataset(vectors, [r.label for r in records], strategy)

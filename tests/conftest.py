@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from texture_nilm import DescriptorConfig, LabeledDataset, Matrix2D
+from texture_nilm.fusion import fuse_rows
 
 
 @pytest.fixture
@@ -28,6 +29,11 @@ def dataset_from_single_descriptor(records, kind: str) -> LabeledDataset:
         bins = np.asarray(getattr(r, kind), dtype=np.float64)
         vectors.append(bins / bins.sum())
     return LabeledDataset(np.vstack(vectors), [r.label for r in records])
+
+
+def fuse_one(lbp, wld, strategy):
+    """One window's fused vector, as the one-row case of fuse_rows."""
+    return fuse_rows(np.asarray(lbp)[None], np.asarray(wld)[None], strategy)[0]
 
 
 def write_config(path, **overrides):

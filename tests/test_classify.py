@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import knn_predict_exact_ref, knn_predict_ref
 from texture_nilm import (
-    FeatureVector,
     FusionStrategy,
     KnnConfig,
     LabeledDataset,
@@ -29,8 +28,8 @@ FIVE_POINTS = LabeledDataset(
 QUERY = np.array([3.0, 0.0])
 
 
-def uniform_feature(strategy=FusionStrategy.SUM):
-    return FeatureVector(np.full(256, 1 / 256), strategy)
+def uniform_feature():
+    return np.full(256, 1 / 256)
 
 
 class TestKnnConfig:
@@ -53,21 +52,6 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 4)), ["a", "b"])
 
-    def test_from_feature_vectors_requires_one_strategy(self):
-        items = [
-            (uniform_feature(FusionStrategy.SUM), "a"),
-            (uniform_feature(FusionStrategy.MULT), "b"),
-        ]
-        with pytest.raises(ValueError):
-            LabeledDataset.from_feature_vectors(items)
-
-    def test_from_feature_vectors(self):
-        ds = LabeledDataset.from_feature_vectors(
-            [(uniform_feature(), "b"), (uniform_feature(), "a")]
-        )
-        assert ds.strategy is FusionStrategy.SUM
-        assert ds.class_set == ["a", "b"]
-        assert len(ds) == 2
 
 
 class TestPredict:
@@ -108,7 +92,9 @@ class TestPredict:
 
     def test_accepts_feature_vectors(self):
         fv = uniform_feature()
-        train = LabeledDataset.from_feature_vectors([(fv, "x"), (fv, "y")])
+        train = LabeledDataset(np.vstack([fv, fv]), ["x", "y"], FusionStrategy.SUM)
+        assert train.class_set == ["x", "y"]
+        assert len(train) == 2
         assert predict(train, fv, KnnConfig(k=1)) == "x"
 
     def test_empty_training_set(self):

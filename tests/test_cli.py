@@ -28,6 +28,10 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+FEATURES_SHA256 = "b674e9f5579848fd6e3e0206b1e37b860439bf686643ffc129112dee8e382b76"
+REPORT_SHA256 = "f8c5c18c3f148231654f022c497c2a89034e244c6f8aba67576da8afeb0a4ca4"
+
+
 def corpus_hashes(root):
     return {p.relative_to(root): sha(p) for p in sorted(root.rglob("*.csv"))}
 
@@ -249,6 +253,18 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg)]) == 0
         assert sha(report) == first
 
+    def test_artifact_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # FEATURES_SHA256 and REPORT_SHA256 are the artifacts as commit
+        # ab450be, the last one with two fusion paths, wrote them; only a
+        # change to the dump or report format on purpose may re-pin them
+        monkeypatch.chdir(tmp_path)
+        io = {**_seeded_io(tmp_path, 7), "output": "out"}
+        cfg = write_config(tmp_path / "c.json", io=io)
+        for command in ("synth", "extract", "eval"):
+            assert main([command, "--config", str(cfg)]) == 0
+        assert sha(tmp_path / "out" / "features.jsonl") == FEATURES_SHA256
+        assert sha(tmp_path / "out" / "report.json") == REPORT_SHA256
+
     def test_full_pipeline_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         artifacts = {}
@@ -343,6 +359,32 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(dump) in err
         assert "line 1: wld counts must be non-negative integers" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("label", "null", "label and source_id must be strings"),
+            ("source_id", "7", "label and source_id must be strings"),
+            ("onset_index", "1.5", "onset_index must be a non-negative integer"),
+            ("onset_index", "-1", "onset_index must be a non-negative integer"),
+            ("onset_index", "true", "onset_index must be a non-negative integer"),
+        ],
+        ids=["null_label", "numeric_source_id", "fraction", "negative", "bool"],
+    )
+    def test_bad_dump_provenance_exits_3(self, tmp_path, capsys, field, value, message):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["extract", "--config", str(cfg)]) == 0
+        dump = tmp_path / "out" / "features.jsonl"
+        first, rest = dump.read_text().split("\n", 1)
+        record = json.loads(first)
+        record[field] = "@"
+        dump.write_text(json.dumps(record).replace('"@"', value) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(dump) in err
+        assert f"line 1: {message}" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_non_utf8_dump_exits_3(self, tmp_path, capsys):
