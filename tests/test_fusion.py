@@ -197,10 +197,6 @@ class TestBatchedDatasetFusion:
             assert actual[0] is expected[0] is ValueError
         else:
             assert actual == expected
-        if breakage == {1: ("both", "disjoint"), 3: ("lbp", "empty")}:
-            assert actual[0] is (
-                DegenerateProduct if strategy is FusionStrategy.MULT else EmptyHistogram
-            )
 
     def test_no_records(self):
         with pytest.raises(ValueError):
