@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -108,9 +109,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         return EXIT_NO_EVENTS
     out = Path(args.out) if args.out else Path(cfg.io.output) / "features.jsonl"
     _write_text_atomic(out, records_to_jsonl(records))
-    counts: dict[str, int] = {}
-    for record in records:
-        counts[record.label] = counts.get(record.label, 0) + 1
+    counts = Counter(records.label)
     for label in sorted(counts):
         print(f"class={label} windows={counts[label]}")
     print(f"total={len(records)} dump={out}")

@@ -8,7 +8,7 @@ gradient orientation of the vertical/horizontal difference vector; the two
 are jointly binned into a 256-bin histogram.
 
 Border cells are skipped rather than padded, so a raw histogram's total is
-exactly (rows-2)*(cols-2).
+exactly (rows-2)*(cols-2). Both take one window or a stack, one histogram each.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class DescriptorConfig:
 
 @dataclass
 class DescriptorHistogram:
-    """256-bin descriptor histogram.
+    """256-bin histograms, one window's ``(256,)`` or a stack's ``(W, 256)``.
 
     ``bins`` holds raw integer counts straight out of extraction (one vote per
     interior cell) or non-negative reals after normalization elsewhere.
@@ -90,7 +90,7 @@ class DescriptorHistogram:
 
     def __post_init__(self) -> None:
         self.bins = np.asarray(self.bins)
-        if self.bins.shape != (HISTOGRAM_BINS,):
+        if self.bins.ndim not in (1, 2) or self.bins.shape[-1] != HISTOGRAM_BINS:
             raise ValueError(f"histogram must have exactly {HISTOGRAM_BINS} bins")
         if self.kind not in ("lbp", "wld"):
             raise ValueError("kind must be 'lbp' or 'wld'")
@@ -99,24 +99,31 @@ class DescriptorHistogram:
         self.total = float(self.bins.sum())
 
 
+def _histograms(index: np.ndarray) -> np.ndarray:
+    """One 256-bin count per matrix of a ``(..., r, c)`` array of bin indices."""
+    rows = index.reshape(-1, index.shape[-2] * index.shape[-1])
+    offset = np.arange(len(rows))[:, None] * HISTOGRAM_BINS
+    bins = np.bincount((rows + offset).ravel(), minlength=len(rows) * HISTOGRAM_BINS)
+    return bins.reshape(index.shape[:-2] + (HISTOGRAM_BINS,))
+
+
 def lbp_histogram(m: Matrix2D) -> DescriptorHistogram:
-    """Histogram of LBP codes over all interior cells.
+    """Histogram of LBP codes over all interior cells, one per matrix.
 
     Neighbor n contributes bit n of a cell's code when its value is >= the
     center (ties count as 1), walking the ring clockwise from the top-left.
     """
     g = m.cells
-    center = g[1:-1, 1:-1]
+    center = g[..., 1:-1, 1:-1]
     codes = np.zeros(center.shape, dtype=np.int64)
     for bit, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        nb = g[1 + dr : g.shape[0] - 1 + dr, 1 + dc : g.shape[1] - 1 + dc]
-        codes |= ((nb - center) >= 0).astype(np.int64) << bit
-    bins = np.bincount(codes.ravel(), minlength=HISTOGRAM_BINS)
-    return DescriptorHistogram(bins=bins, kind="lbp")
+        nb = g[..., 1 + dr : m.rows - 1 + dr, 1 + dc : m.cols - 1 + dc]
+        codes |= (nb >= center).astype(np.int64) << bit
+    return DescriptorHistogram(bins=_histograms(codes), kind="lbp")
 
 
 def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
-    """Joint orientation-by-excitation WLD histogram, flattened to 256 bins.
+    """Joint orientation-by-excitation WLD histogram per matrix, in 256 bins.
 
     Excitation is arctan(sum(neighbor - center) / max(center, epsilon)); the
     epsilon guard is needed because quantization can produce centers of 0 even
@@ -129,15 +136,15 @@ def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
     ``orientation_bin * excitation_bins + excitation_bin``.
     """
     g = m.cells
-    center = g[1:-1, 1:-1]
+    center = g[..., 1:-1, 1:-1]
     ring = np.zeros(center.shape, dtype=np.int64)
     for dr, dc in NEIGHBOR_OFFSETS:
-        ring += g[1 + dr : g.shape[0] - 1 + dr, 1 + dc : g.shape[1] - 1 + dc]
+        ring += g[..., 1 + dr : m.rows - 1 + dr, 1 + dc : m.cols - 1 + dc]
     denom = np.maximum(center.astype(np.float64), cfg.epsilon)
     excitation = np.arctan((ring - 8 * center) / denom)
 
-    vertical = (g[2:, 1:-1] - g[:-2, 1:-1]).astype(np.float64)
-    horizontal = (g[1:-1, :-2] - g[1:-1, 2:]).astype(np.float64)
+    vertical = (g[..., 2:, 1:-1] - g[..., :-2, 1:-1]).astype(np.float64)
+    horizontal = (g[..., 1:-1, :-2] - g[..., 1:-1, 2:]).astype(np.float64)
     orientation = np.arctan2(vertical, horizontal)
     orientation = np.where(orientation < 0.0, orientation + TWO_PI, orientation)
     # adding 2*pi to a tiny negative angle can round to exactly 2*pi
@@ -152,7 +159,4 @@ def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
         0,
         cfg.excitation_bins - 1,
     )
-    bins = np.bincount(
-        (t * cfg.excitation_bins + e).ravel(), minlength=HISTOGRAM_BINS
-    )
-    return DescriptorHistogram(bins=bins, kind="wld")
+    return DescriptorHistogram(bins=_histograms(t * cfg.excitation_bins + e), kind="wld")

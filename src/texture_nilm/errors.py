@@ -59,3 +59,11 @@ class NonMonotoneTimestamps(PipelineError):
 
 class EmptyDataset(PipelineError):
     """No recordings were found under the dataset root."""
+
+
+class RangeOverflow(PipelineError):
+    """A window's max - min overflows float64, so it cannot be quantized."""
+
+    def __init__(self, message: str, row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row

@@ -20,15 +20,12 @@ def constant_matrix(value: int, rows: int, cols: int | None = None) -> Matrix2D:
     return Matrix2D(np.full((rows, cols or rows), value, dtype=np.int64))
 
 
-def dataset_from_single_descriptor(records, kind: str) -> LabeledDataset:
+def dataset_from_single_descriptor(table, kind: str) -> LabeledDataset:
     """L1-normalized single-descriptor dataset for ablation comparisons."""
     if kind not in ("lbp", "wld"):
         raise ValueError("kind must be 'lbp' or 'wld'")
-    vectors = []
-    for r in records:
-        bins = np.asarray(getattr(r, kind), dtype=np.float64)
-        vectors.append(bins / bins.sum())
-    return LabeledDataset(np.vstack(vectors), [r.label for r in records])
+    bins = np.asarray(getattr(table, kind), dtype=np.float64)
+    return LabeledDataset(bins / bins.sum(axis=1)[:, None], table.label)
 
 
 def fuse_one(lbp, wld, strategy):

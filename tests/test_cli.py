@@ -21,7 +21,7 @@ from texture_nilm.config import (
     load_config,
 )
 from texture_nilm.errors import InvalidConfig
-from texture_nilm.pipeline import extract_records, records_to_jsonl
+from texture_nilm.pipeline import extract_records, load_records, records_to_jsonl
 
 
 def sha(path):
@@ -30,6 +30,12 @@ def sha(path):
 
 FEATURES_SHA256 = "b674e9f5579848fd6e3e0206b1e37b860439bf686643ffc129112dee8e382b76"
 REPORT_SHA256 = "f8c5c18c3f148231654f022c497c2a89034e244c6f8aba67576da8afeb0a4ca4"
+# features.jsonl of the write_config corpus at window_len 16 (4x4 grids, one
+# padded window), by noise_sigma; without noise most windows are flat
+SMALL_GRID_FEATURES_SHA256 = {
+    2.0: "8f1f4d5c0a848c7ab80d1d73c36130c2600064efd71eb6db8d6b00cad389d884",
+    0.0: "9f14d5bb9a36cfd3c548ef44065242af018fea6e7db9d98e04468c43fc9989a0",
+}
 
 
 def corpus_hashes(root):
@@ -217,6 +223,42 @@ class TestExtractCommand:
         assert main(["extract", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err and message in err
+        assert not (tmp_path / "out" / "features.jsonl").exists()
+
+    @pytest.mark.parametrize("noise", sorted(SMALL_GRID_FEATURES_SHA256))
+    def test_small_grid_dump_is_pinned_and_round_trips(self, tmp_path, noise):
+        # the hashes are the dumps as commit fa30808, the last one that
+        # extracted one window at a time, wrote them
+        cfg = write_config(
+            tmp_path / "c.json",
+            detector={"delta_watts": 15.0, "steady_len": 5, "window_len": 16},
+        )
+        doc = json.loads(cfg.read_text())
+        doc["io"]["synth"]["noise_sigma"] = noise
+        cfg.write_text(json.dumps(doc))
+        assert main(["extract", "--config", str(cfg)]) == 0
+        dump = tmp_path / "out" / "features.jsonl"
+        assert sha(dump) == SMALL_GRID_FEATURES_SHA256[noise]
+        assert records_to_jsonl(load_records(dump)) == dump.read_text()
+
+    def test_range_overflow_exits_3(self, tmp_path, capsys):
+        # finite samples whose max - min overflows float64
+        rows = ["timestamp,power_w"]
+        for t in range(100):
+            power = {40: 9e307, 50: -9e307}.get(t, 100.0 if t < 50 else 200.0)
+            rows.append(f"{t},{power!r}")
+        corpus = tmp_path / "corpus"
+        (corpus / "heater").mkdir(parents=True)
+        (corpus / "heater" / "rec_0.csv").write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            detector={"delta_watts": 15.0, "steady_len": 5, "window_len": 16},
+            io={"output": str(tmp_path / "out"), "input_root": str(corpus)},
+        )
+        assert main(["extract", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows float64" in err
+        assert "label 'heater', source_id 'rec_0', onset 36" in err
         assert not (tmp_path / "out" / "features.jsonl").exists()
 
     def test_signal_order_does_not_change_output(self):

@@ -9,6 +9,7 @@ from conftest import constant_matrix, random_matrix
 from oracles import (
     lbp_code_ref,
     lbp_histogram_ref,
+    reshape_ref,
     wld_bin_ref,
     wld_histogram_ref,
     wld_response_ref,
@@ -18,6 +19,7 @@ from texture_nilm import (
     DescriptorHistogram,
     Matrix2D,
     lbp_histogram,
+    reshape,
     wld_histogram,
 )
 from texture_nilm.errors import InvalidConfig
@@ -284,3 +286,54 @@ class TestWldHistogram:
         m = random_matrix(np.random.default_rng(seed), rows, cols)
         h = wld_histogram(m, DescriptorConfig())
         assert h.total == (rows - 2) * (cols - 2)
+
+
+@st.composite
+def window_stacks(draw):
+    """(W, L) stacks mixing flat rows, rows full of ties and wide-range rows."""
+    length = draw(st.integers(9, 200))
+    row = st.sampled_from([0, 3, 10**6]).flatmap(
+        lambda top: st.lists(st.integers(0, top), min_size=length, max_size=length)
+    ) | st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=length, max_size=length
+    )
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+class TestStackParity:
+    """A stack of windows gives, row by row, each window's oracle result."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_stacks())
+    def test_rows_match_oracles(self, rows):
+        matrices = reshape(np.array(rows, dtype=np.float64))
+        lbp = lbp_histogram(matrices).bins
+        wld = wld_histogram(matrices, DescriptorConfig()).bins
+        assert matrices.cells.shape[0] == lbp.shape[0] == wld.shape[0] == len(rows)
+        for i, values in enumerate(rows):
+            cells = reshape_ref([float(v) for v in values])
+            assert matrices.cells[i].tolist() == cells
+            assert lbp[i].tolist() == lbp_histogram_ref(cells)
+            assert wld[i].tolist() == wld_histogram_ref(cells)
+
+    def test_one_window_is_the_one_row_stack(self):
+        values = np.random.default_rng(9).normal(100.0, 20.0, size=50)
+        one = reshape(values)
+        stack = reshape(values[None])
+        assert one.cells.shape == (8, 8) and stack.cells.shape == (1, 8, 8)
+        assert np.array_equal(one.cells, stack.cells[0])
+        cfg = DescriptorConfig()
+        for describe in (lbp_histogram, lambda m: wld_histogram(m, cfg)):
+            assert describe(one).bins.shape == (256,)
+            assert np.array_equal(describe(one).bins, describe(stack).bins[0])
+
+    def test_stack_checks_run_over_every_window(self):
+        grids = np.zeros((3, 4, 4), dtype=np.int64)
+        grids[2, 1, 1] = 256
+        with pytest.raises(ValueError, match="cells must lie in"):
+            Matrix2D(grids)
+        bins = np.zeros((3, 256))
+        bins[1, 5] = -1
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DescriptorHistogram(bins, "lbp")
+        assert DescriptorHistogram(np.ones((3, 256)), "wld").total == 768

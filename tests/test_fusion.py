@@ -9,7 +9,7 @@ from texture_nilm import DescriptorHistogram, FusionStrategy
 from texture_nilm.classify import LabeledDataset
 from texture_nilm.errors import DegenerateProduct, EmptyHistogram
 from texture_nilm.fusion import fuse_rows
-from texture_nilm.pipeline import WindowRecord, dataset_from_records
+from texture_nilm.pipeline import FeatureTable, dataset_from_records
 
 
 def random_hist_pair(rng):
@@ -102,7 +102,7 @@ class TestFuse:
         assert np.allclose(base, scaled, atol=1e-9)
 
 
-def per_record_dataset(records, strategy):
+def per_record_dataset(table, strategy):
     """The dataset fused one record at a time by the frozen one-window fusion.
 
     DescriptorHistogram rejects a record's wrong-length, negative or
@@ -110,11 +110,11 @@ def per_record_dataset(records, strategy):
     """
     strategy = FusionStrategy(strategy)
     vectors = []
-    for r in records:
-        lbp = DescriptorHistogram(r.lbp, "lbp").bins
-        wld = DescriptorHistogram(r.wld, "wld").bins
+    for lbp, wld in zip(table.lbp, table.wld):
+        lbp = DescriptorHistogram(lbp, "lbp").bins
+        wld = DescriptorHistogram(wld, "wld").bins
         vectors.append(fuse_ref(lbp, wld, strategy))
-    return LabeledDataset(np.vstack(vectors), [r.label for r in records], strategy)
+    return LabeledDataset(np.vstack(vectors), table.label, strategy)
 
 
 def outcome(build, records, strategy):
@@ -126,7 +126,7 @@ def outcome(build, records, strategy):
 
 
 def random_records(rng, count, dtype=np.int64):
-    records = []
+    lbps, wlds = [], []
     for i in range(count):
         # sparse and dense rows, small and large counts
         density = rng.choice([0.02, 0.3, 1.0])
@@ -135,10 +135,15 @@ def random_records(rng, count, dtype=np.int64):
         wld = rng.integers(0, scale, 256) * (rng.random(256) < density)
         lbp[0] += 1
         wld[0] += 1
-        records.append(
-            WindowRecord(f"c{i % 3}", f"s{i}", i, lbp.astype(dtype), wld.astype(dtype))
-        )
-    return records
+        lbps.append(lbp)
+        wlds.append(wld)
+    return FeatureTable(
+        [f"c{i % 3}" for i in range(count)],
+        [f"s{i}" for i in range(count)],
+        list(range(count)),
+        np.array(lbps, dtype=dtype),
+        np.array(wlds, dtype=dtype),
+    )
 
 
 class TestBatchedDatasetFusion:
@@ -170,9 +175,8 @@ class TestBatchedDatasetFusion:
     def test_first_failing_record_raises_fuse_error(self, strategy, breakage):
         records = random_records(np.random.default_rng(31), 8, np.float64)
         for index, (kind, how) in breakage.items():
-            r = records[index]
             for name in ("lbp", "wld") if kind == "both" else (kind,):
-                bins = getattr(r, name).copy()
+                bins = getattr(records, name)[index]
                 if how == "empty":
                     bins[:] = 0
                 elif how == "negative":
@@ -180,11 +184,11 @@ class TestBatchedDatasetFusion:
                 elif how == "nan":
                     bins[7] = np.nan
                 elif how == "short":
-                    bins = bins[:100]
+                    # a column holds whole rows: one short row shortens them all
+                    setattr(records, name, getattr(records, name)[:, :100])
                 else:  # lbp on even bins, wld on odd ones
                     bins[:] = 0
                     bins[0 if name == "lbp" else 1] = 4
-                setattr(r, name, bins)
         expected = outcome(per_record_dataset, records, strategy)
         # disjoint supports only have no product; sum and concat still fuse
         disjoint_only = {how for _, how in breakage.values()} == {"disjoint"}
@@ -192,15 +196,16 @@ class TestBatchedDatasetFusion:
             assert isinstance(expected[0], type)
         actual = outcome(dataset_from_records, records, strategy)
         if ("wld", "short") in breakage.values():
-            # numpy rejects the ragged stack before fuse_rows sees a row;
-            # load_records never returns such a record
+            # fuse_rows rejects the short column before it fuses a row;
+            # load_records never returns such a table
             assert actual[0] is expected[0] is ValueError
         else:
             assert actual == expected
 
     def test_no_records(self):
+        empty = np.zeros((0, 256), dtype=np.int64)
         with pytest.raises(ValueError):
-            dataset_from_records([], "sum")
+            dataset_from_records(FeatureTable([], [], [], empty, empty), "sum")
 
 
 def random_rows(rng, count):

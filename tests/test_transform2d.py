@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reshape_ref
-from texture_nilm import EventWindow, Matrix2D, reshape
-from texture_nilm.errors import MatrixTooSmall, WindowTooShort
+from texture_nilm import Matrix2D, reshape
+from texture_nilm.errors import MatrixTooSmall, RangeOverflow, WindowTooShort
 
 
 def window(values):
-    return EventWindow(np.asarray(values, dtype=float), 0, "dev")
+    return np.asarray(values, dtype=float)
 
 
 class TestMatrix2D:
@@ -58,6 +58,16 @@ class TestReshape:
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             reshape(window([1.0] * 8))
+
+    def test_range_overflow_names_the_first_window(self):
+        # every sample is finite, but max - min is not
+        stack = np.full((3, 16), 100.0)
+        stack[1, 4], stack[1, 9] = 9e307, -9e307
+        stack[2, :2] = 1.7e308, -1.7e308
+        with pytest.raises(RangeOverflow, match="overflows float64") as info:
+            reshape(stack)
+        assert info.value.row == 1
+        assert reshape(stack[0]).cells.shape == (4, 4)
 
     def test_round_half_up(self):
         # midpoint ratios round up: [0, 1, 2] -> 0, 127.5, 255
