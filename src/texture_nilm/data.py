@@ -29,6 +29,9 @@ from __future__ import annotations
 
 import csv
 import os
+import signal
+import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -48,6 +51,8 @@ CSV_HEADER = ("timestamp", "power_w")
 _PLAIN_HEADER = ",".join(CSV_HEADER) + "\n"
 # characters per read of the numeric fast path
 _BLOCK_CHARS = 1 << 16
+# from <linux/prctl.h>
+_PR_SET_PDEATHSIG = 1
 
 ARCHETYPES = (
     "square_wave",
@@ -247,17 +252,83 @@ def _load_csv(path: Path, label: str, rate_override: float | None) -> PowerSigna
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
-def _outcome(task: tuple) -> tuple[bool, object]:
+def _pool_size(files: int) -> int:
+    """Worker processes for ``files`` calls; below 2 they run in this process.
+
+    Workers are forked. That is done only on Linux (macOS system libraries
+    are not safe in a forked child, and Windows cannot fork), from Python
+    3.11 (before it, the executor can fork while its own thread runs), and
+    only while no other thread runs here: a forked child has only the
+    forking thread, so a lock that another thread held stays held in it.
+    """
+    if (
+        sys.platform != "linux"
+        or sys.version_info < (3, 11)
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(_usable_cpus(), files)
+
+
+def _call(task: tuple) -> tuple[bool, object, str | None]:
+    """``(True, func(*args), None)``, or ``(False, exception, None)``."""
     func, *args = task
     try:
-        return True, func(*args)
+        return True, func(*args), None
     except Exception as exc:
-        return False, exc
+        return False, exc, None
+
+
+def _call_in_worker(task: tuple) -> tuple[bool, object, str | None]:
+    """:func:`_call` in a worker: a failure also brings back its traceback
+    as text, since an exception loses its frames when it is pickled."""
+    ok, value, _ = _call(task)
+    if ok:
+        return ok, value, None
+    import pickle
+    import traceback
+
+    text = "".join(traceback.format_exception(value))
+    try:
+        pickle.loads(pickle.dumps(value))
+    except Exception:
+        # it could not be rebuilt in the parent; the text still names it
+        value = None
+    return False, value, text
+
+
+def _call_chunk(tasks: list[tuple]) -> list[tuple[bool, object, str | None]]:
+    return [_call_in_worker(task) for task in tasks]
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker process, as text."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _die_with_parent(parent: int) -> None:
+    """Worker initializer: the worker ends when the parent process does.
+
+    Without it a worker would wait for work forever once the parent is
+    killed, since the worker holds both ends of the pipe it reads. Ctrl-C is
+    left to the parent, which stops the pool.
+    """
+    import ctypes
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    libc.prctl.restype = ctypes.c_int
+    if libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        # the parent ended before the line above
+        os._exit(1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _map_files(func: Callable, tasks: list[tuple], undo: Callable | None = None) -> list:
@@ -266,48 +337,71 @@ def _map_files(func: Callable, tasks: list[tuple], undo: Callable | None = None)
     Every call runs, and the results keep the order of ``tasks``. If any call
     raises, the exception of the first failing task in that order is raised,
     with its own type and message, after ``undo`` has been given the result
-    of every call that succeeded. With fewer than two workers the calls run
-    in this process, in order. The pool is joined before this returns, so no
-    worker outlives the call.
+    of every call that succeeded. From a worker, the exception has the
+    worker's traceback as its cause. With fewer than two workers (see
+    :func:`_pool_size`) the calls run in this process, in order. Every worker
+    has exited before this returns, and a worker that dies raises
+    ``BrokenProcessPool`` here.
     """
-    workers = min(_usable_cpus(), len(tasks))
-    tasks = [(func, *task) for task in tasks]
-    outcomes: list[tuple[bool, object]] = []
-    pool = None
+    workers = _pool_size(len(tasks))
+    calls = [(func, *task) for task in tasks]
+    outcomes: list[tuple[bool, object, str | None]] = []
     try:
         if workers < 2:
-            results = map(_outcome, tasks)
+            # one at a time, so an interrupted map still undoes what came back
+            for outcome in map(_call, calls):
+                outcomes.append(outcome)
         else:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
             # fork, not spawn: a spawned worker imports numpy and this
             # package again, which made extract of the 300-file benchmark
             # corpus slower than one process
-            pool = multiprocessing.get_context("fork").Pool(workers)
-            # about 16 chunks per worker: one queue round trip per file
-            # cost about a third of the parse time of a 4096-row file, and
-            # short chunks keep the workers even at the end
-            chunk = max(1, len(tasks) // (16 * workers))
-            results = pool.imap(_outcome, tasks, chunk)
-        # one at a time, so an interrupted map still undoes what came back
-        for outcome in results:
-            outcomes.append(outcome)
-        for ok, value in outcomes:
-            if not ok:
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_die_with_parent,
+                initargs=(os.getpid(),),
+            )
+            # about 16 chunks per worker: one queue round trip per file cost
+            # about a third of the parse time of a 4096-row file, and short
+            # chunks keep the workers even at the end
+            size = max(1, len(calls) // (16 * workers))
+            chunks = []
+            taken = 0
+            try:
+                for i in range(0, len(calls), size):
+                    chunks.append(pool.submit(_call_chunk, calls[i : i + size]))
+                for chunk in chunks:
+                    outcomes.extend(chunk.result())
+                    taken += 1
+            finally:
+                # waits for the workers. After an interrupt, chunks that had
+                # not started are dropped, and what the running ones did is
+                # added, so that the undo below sees every file written.
+                pool.shutdown(cancel_futures=True)
+                for chunk in chunks[taken:]:
+                    if not chunk.cancelled() and chunk.exception() is None:
+                        outcomes.extend(chunk.result())
+        for ok, value, text in outcomes:
+            if ok:
+                continue
+            if text is None:
                 raise value
+            if value is None:
+                raise RuntimeError(
+                    f"{func.__name__} raised an exception in a worker process"
+                    " that cannot be sent back; its traceback follows"
+                ) from _WorkerTraceback(text)
+            raise value from _WorkerTraceback(text)
     except BaseException:
-        if pool is not None:
-            pool.terminate()
         if undo is not None:
-            for ok, value in outcomes:
+            for ok, value, _ in outcomes:
                 if ok:
                     undo(value)
         raise
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-    return [value for _, value in outcomes]
+    return [value for _, value, _ in outcomes]
 
 
 def load_dataset(

@@ -8,8 +8,13 @@ same files, the same signals and the same first error.
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+import traceback
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from texture_nilm.cli import main
 from texture_nilm.errors import MalformedCsv, NonMonotoneTimestamps
 
 MODES = {"in_process": 1, "pool": 2}
+TEST_PID = os.getpid()
 
 
 def run_in_mode(monkeypatch, n, func, *args):
@@ -198,6 +204,34 @@ def test_failed_write_removes_every_written_file(tmp_path, monkeypatch):
     assert errors[0] == errors[1]
 
 
+def run_python(code, *args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", code, *map(str, args)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        **kwargs,
+    )
+
+
+def wait_for(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.02)
+
+
+def is_running(pid):
+    """True while ``pid`` is a process that has not ended (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def test_cli_start_does_not_import_multiprocessing():
     code = (
         "import sys\n"
@@ -208,9 +242,196 @@ def test_cli_start_does_not_import_multiprocessing():
         "    assert exc.code == 0, exc.code\n"
         "print('multiprocessing' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    out, err = run_python(code).communicate(timeout=60)
+    assert out.splitlines()[-1] == "False", err
+
+
+FORK_THREADS = """
+import os, sys
+import numpy as np
+from texture_nilm import data
+from texture_nilm.cli import main
+
+data._usable_cpus = lambda: 2
+
+
+def threads():
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[17])
+
+
+fork = os.fork
+after_fork = []
+
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        after_fork.append(threads())
+    return pid
+
+
+os.fork = counting_fork
+a = np.ones((300, 300))
+a @ a
+before = threads()
+for command in ("synth", "extract"):
+    assert main([command, "--config", sys.argv[1]]) == 0
+print(before, *after_fork)
+"""
+
+
+def test_workers_are_forked_from_a_single_threaded_process(tmp_path):
+    # Python 3.12+ warns when it forks a process that has other threads,
+    # reading the thread count just after the fork. numpy's OpenBLAS has
+    # threads (more than 1 before the forks on a multi-CPU machine), but it
+    # stops them before a fork, and the executor starts its own afterwards.
+    synth = {
+        "classes": ["square_wave", "staircase"],
+        "signals_per_class": 4,
+        "signal_len": 512,
+        "noise_sigma": 2.0,
+        "seed": 7,
+    }
+    cfg = write_config(tmp_path / "c.json", io={"output": str(tmp_path / "out"), "synth": synth})
+    out, err = run_python(FORK_THREADS, cfg).communicate(timeout=120)
+    before, *after_fork = map(int, out.splitlines()[-1].split())
+    # two workers for synth and two for extract
+    assert after_fork == [1, 1, 1, 1], (before, after_fork, err)
+
+
+HANG_IN_WORKERS = """
+import os, sys, time
+from pathlib import Path
+from texture_nilm import data
+
+data._usable_cpus = lambda: 2
+
+
+def load_and_hang(path, label, rate):
+    (Path(sys.argv[2]) / str(os.getpid())).touch()
+    time.sleep(60)
+
+
+data._load_csv = load_and_hang
+data.load_dataset(sys.argv[1])
+"""
+
+
+def test_workers_end_when_the_parent_is_killed(tmp_path):
+    root = mixed_corpus(tmp_path / "corpus")
+    started = tmp_path / "pids"
+    started.mkdir()
+    proc = run_python(HANG_IN_WORKERS, root, started)
+    try:
+        wait_for(lambda: len(list(started.iterdir())) == 2)
+    finally:
+        proc.kill()
+        proc.communicate(timeout=60)
+    workers = [int(p.name) for p in started.iterdir()]
+    wait_for(lambda: not any(map(is_running, workers)))
+
+
+WRITE_SLOWLY = """
+import os, sys, time
+from pathlib import Path
+import numpy as np
+from texture_nilm import PowerSignal, data, write_corpus
+
+data._usable_cpus = lambda: 2
+write_csv = data._write_csv
+
+
+def write_slowly(signal, path):
+    write_csv(signal, path)
+    (Path(sys.argv[2]) / path.name).touch()
+    time.sleep(0.05)
+    return path
+
+
+data._write_csv = write_slowly
+signals = [PowerSignal(np.ones(16), 1.0, "a", f"rec_{i:03d}") for i in range(400)]
+write_corpus(signals, sys.argv[1])
+"""
+
+
+def test_interrupted_write_removes_every_written_file(tmp_path):
+    root = tmp_path / "corpus"
+    written = tmp_path / "written"
+    written.mkdir()
+    # Ctrl-C signals the whole process group
+    proc = run_python(WRITE_SLOWLY, root, written, start_new_session=True)
+    try:
+        wait_for(lambda: any(root.glob("a/*.csv")))
+        os.killpg(proc.pid, signal.SIGINT)
+    finally:
+        _, err = proc.communicate(timeout=60)
+    assert err.splitlines()[-1] == "KeyboardInterrupt"
+    # the chunks that were running when the interrupt came finished, and
+    # the rest never started
+    assert 0 < len(list(written.iterdir())) < 400
+    assert list(root.glob("a/*")) == []
+
+
+def fail_with_value_error(path, label, rate):
+    raise ValueError(f"cannot read {path.name}")
+
+
+def test_failure_keeps_the_traceback_of_the_failing_call(tmp_path, monkeypatch):
+    root = mixed_corpus(tmp_path / "corpus")
+    monkeypatch.setattr(data, "_load_csv", fail_with_value_error)
+    for n in MODES.values():
+        with pytest.raises(ValueError) as info:
+            run_in_mode(monkeypatch, n, load_dataset, root)
+        assert str(info.value) == "cannot read rec_0.csv"
+        text = "".join(traceback.format_exception(info.value))
+        assert ", in fail_with_value_error\n" in text
+
+
+class TwoPartError(Exception):
+    def __init__(self, path, reason):
+        # args holds one string, so unpickling calls __init__ with too few
+        super().__init__(f"{path.name}: {reason}")
+
+
+def fail_with_two_part_error(path, label, rate):
+    raise TwoPartError(path, "bad")
+
+
+def test_exception_that_cannot_be_pickled_back_is_reported(tmp_path, monkeypatch):
+    root = mixed_corpus(tmp_path / "corpus")
+    monkeypatch.setattr(data, "_load_csv", fail_with_two_part_error)
+    with pytest.raises(TwoPartError, match="^rec_0.csv: bad$"):
+        run_in_mode(monkeypatch, 1, load_dataset, root)
+    with pytest.raises(RuntimeError, match="^fail_with_two_part_error raised") as info:
+        run_in_mode(monkeypatch, 2, load_dataset, root)
+    cause = "".join(traceback.format_exception(info.value.__cause__))
+    assert "TwoPartError: rec_0.csv: bad\n" in cause
+
+
+def die_in_a_worker(path, label, rate):
+    if os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return PowerSignal([1.0], 1.0, label, path.stem)
+
+
+def test_a_dead_worker_raises(tmp_path, monkeypatch):
+    root = mixed_corpus(tmp_path / "corpus")
+    monkeypatch.setattr(data, "_load_csv", die_in_a_worker)
+    with pytest.raises(BrokenProcessPool):
+        run_in_mode(monkeypatch, 2, load_dataset, root)
+
+
+def test_another_thread_keeps_the_calls_in_process(tmp_path, monkeypatch):
+    root = mixed_corpus(tmp_path / "corpus")
+    monkeypatch.setattr(data, "_load_csv", load_tagged_with_pid)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        loaded = run_in_mode(monkeypatch, 2, load_dataset, root)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert {s.source_id.rsplit("@", 1)[1] for s in loaded} == {str(TEST_PID)}
