@@ -53,6 +53,15 @@ _PLAIN_HEADER = ",".join(CSV_HEADER) + "\n"
 _BLOCK_CHARS = 1 << 16
 # from <linux/prctl.h>
 _PR_SET_PDEATHSIG = 1
+# Corpus I/O workers at most. Each forked worker added 5 to 9 MB of
+# proportional memory (PSS) to synth and extract of the 300-file benchmark
+# corpus, so 8 add at most about as much as the command itself uses. The
+# speedup was measured on 2 CPUs only.
+_MAX_WORKERS = 8
+# Whether corpus I/O may fork workers: not on macOS, whose system libraries
+# are not safe in a forked child, nor on Windows, which cannot fork, nor
+# before Python 3.11, whose executor can fork while its own thread runs.
+_FORK_POOL = sys.platform == "linux" and sys.version_info >= (3, 11)
 
 ARCHETYPES = (
     "square_wave",
@@ -258,19 +267,13 @@ def _usable_cpus() -> int:
 def _pool_size(files: int) -> int:
     """Worker processes for ``files`` calls; below 2 they run in this process.
 
-    Workers are forked. That is done only on Linux (macOS system libraries
-    are not safe in a forked child, and Windows cannot fork), from Python
-    3.11 (before it, the executor can fork while its own thread runs), and
-    only while no other thread runs here: a forked child has only the
-    forking thread, so a lock that another thread held stays held in it.
+    Workers are forked, so only where :data:`_FORK_POOL` holds, and only
+    while no other thread runs here: a forked child has only the forking
+    thread, so a lock that another thread held stays held in it.
     """
-    if (
-        sys.platform != "linux"
-        or sys.version_info < (3, 11)
-        or threading.active_count() > 1
-    ):
+    if not _FORK_POOL or threading.active_count() > 1:
         return 1
-    return min(_usable_cpus(), files)
+    return min(_usable_cpus(), files, _MAX_WORKERS)
 
 
 def _call(task: tuple) -> tuple[bool, object, str | None]:
@@ -332,7 +335,8 @@ def _die_with_parent(parent: int) -> None:
 
 
 def _map_files(func: Callable, tasks: list[tuple], undo: Callable | None = None) -> list:
-    """``[func(*task) for task in tasks]``, one worker process per usable CPU.
+    """``[func(*task) for task in tasks]``, one worker process per usable CPU
+    (at most ``_MAX_WORKERS``).
 
     Every call runs, and the results keep the order of ``tasks``. If any call
     raises, the exception of the first failing task in that order is raised,

@@ -27,6 +27,10 @@ from texture_nilm.errors import MalformedCsv, NonMonotoneTimestamps
 
 MODES = {"in_process": 1, "pool": 2}
 TEST_PID = os.getpid()
+# for tests of what only a pool does; the others also pass without one
+needs_pool = pytest.mark.skipif(
+    not data._FORK_POOL, reason="corpus I/O forks workers only on Linux, Python 3.11+"
+)
 
 
 def run_in_mode(monkeypatch, n, func, *args):
@@ -116,6 +120,7 @@ class TestParity:
         assert_same_signals(loaded[1], reference)
         assert_same_signals(loaded[2], reference)
 
+    @needs_pool
     def test_pool_mode_reads_in_worker_processes(self, tmp_path, monkeypatch):
         root = mixed_corpus(tmp_path / "corpus")
         monkeypatch.setattr(data, "_load_csv", load_tagged_with_pid)
@@ -281,6 +286,7 @@ print(before, *after_fork)
 """
 
 
+@needs_pool
 def test_workers_are_forked_from_a_single_threaded_process(tmp_path):
     # Python 3.12+ warns when it forks a process that has other threads,
     # reading the thread count just after the fork. numpy's OpenBLAS has
@@ -318,6 +324,7 @@ data.load_dataset(sys.argv[1])
 """
 
 
+@needs_pool
 def test_workers_end_when_the_parent_is_killed(tmp_path):
     root = mixed_corpus(tmp_path / "corpus")
     started = tmp_path / "pids"
@@ -355,6 +362,7 @@ write_corpus(signals, sys.argv[1])
 """
 
 
+@needs_pool
 def test_interrupted_write_removes_every_written_file(tmp_path):
     root = tmp_path / "corpus"
     written = tmp_path / "written"
@@ -398,6 +406,7 @@ def fail_with_two_part_error(path, label, rate):
     raise TwoPartError(path, "bad")
 
 
+@needs_pool
 def test_exception_that_cannot_be_pickled_back_is_reported(tmp_path, monkeypatch):
     root = mixed_corpus(tmp_path / "corpus")
     monkeypatch.setattr(data, "_load_csv", fail_with_two_part_error)
@@ -415,6 +424,7 @@ def die_in_a_worker(path, label, rate):
     return PowerSignal([1.0], 1.0, label, path.stem)
 
 
+@needs_pool
 def test_a_dead_worker_raises(tmp_path, monkeypatch):
     root = mixed_corpus(tmp_path / "corpus")
     monkeypatch.setattr(data, "_load_csv", die_in_a_worker)
@@ -435,3 +445,10 @@ def test_another_thread_keeps_the_calls_in_process(tmp_path, monkeypatch):
         thread.join(timeout=60)
     assert not thread.is_alive()
     assert {s.source_id.rsplit("@", 1)[1] for s in loaded} == {str(TEST_PID)}
+
+
+@needs_pool
+def test_worker_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 64)
+    assert data._pool_size(5) == 5
+    assert data._pool_size(300) == data._MAX_WORKERS == 8
