@@ -19,10 +19,11 @@ number. ISO-timestamp corpora therefore always take the row parser and gain
 nothing. Writing builds each file's text with one join over bulk-converted
 values, with the same bytes as formatting each row on its own.
 
-Float parsing and ``repr`` bound both directions, so a corpus is read and
-written one file per task, in a forked pool of one worker process per usable
-CPU (in this process when that is one). The files, the signals, their order
-and the first error raised are the same as with one process.
+Float parsing and ``repr`` bound both directions, so on Linux a corpus is
+read and written one file per task by forked worker processes, one per usable
+CPU and at most 8. The calls run in this process instead when that is one,
+or when another thread runs here. The files, the signals, their order and
+the first error raised are the same either way.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ _BLOCK_CHARS = 1 << 16
 # from <linux/prctl.h>
 _PR_SET_PDEATHSIG = 1
 # Corpus I/O workers at most. Each forked worker added 5 to 9 MB of
-# proportional memory (PSS) to synth and extract of the 300-file benchmark
-# corpus, so 8 add at most about as much as the command itself uses. The
-# speedup was measured on 2 CPUs only.
+# proportional memory (PSS) to synth and extract of the eval-sweep and
+# csv-ingest benchmark corpora: 8 added 38 to 69 MB to commands that use 41
+# to 53 MB alone. The speedup has been measured on 2 CPUs only.
 _MAX_WORKERS = 8
 # Whether corpus I/O may fork workers: not on macOS, whose system libraries
 # are not safe in a forked child, nor on Windows, which cannot fork, nor

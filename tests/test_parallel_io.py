@@ -336,7 +336,11 @@ def test_workers_end_when_the_parent_is_killed(tmp_path):
         proc.kill()
         proc.communicate(timeout=60)
     workers = [int(p.name) for p in started.iterdir()]
-    wait_for(lambda: not any(map(is_running, workers)))
+    try:
+        wait_for(lambda: not any(map(is_running, workers)))
+    finally:
+        for pid in filter(is_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 WRITE_SLOWLY = """
