@@ -21,11 +21,19 @@ class MatrixTooSmall(PipelineError):
     """A matrix has no interior cells (needs at least 3 rows and 3 columns)."""
 
 
-class EmptyHistogram(PipelineError):
+class WindowError(PipelineError):
+    """A failure of one window in a stack; ``row`` is its index in the stack."""
+
+    def __init__(self, message: str, row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+class EmptyHistogram(WindowError):
     """A histogram with total mass zero cannot be normalized."""
 
 
-class DegenerateProduct(PipelineError):
+class DegenerateProduct(WindowError):
     """Multiplicative fusion of histograms with disjoint support is all-zero."""
 
 
@@ -61,9 +69,5 @@ class EmptyDataset(PipelineError):
     """No recordings were found under the dataset root."""
 
 
-class RangeOverflow(PipelineError):
+class RangeOverflow(WindowError):
     """A window's max - min overflows float64, so it cannot be quantized."""
-
-    def __init__(self, message: str, row: int = 0) -> None:
-        super().__init__(message)
-        self.row = row

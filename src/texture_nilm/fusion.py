@@ -33,7 +33,8 @@ def fuse_rows(
     (LBP first). Rows must be finite and non-negative. The lowest row that
     cannot be fused raises: :class:`EmptyHistogram` for an all-zero LBP
     histogram, then for an all-zero WLD one, and, for multiplication,
-    :class:`DegenerateProduct` for histograms with disjoint support.
+    :class:`DegenerateProduct` for histograms with disjoint support; the
+    error's ``row`` is that row's index.
     """
     strategy = FusionStrategy(strategy)
     lbp = np.asarray(lbp)
@@ -63,10 +64,10 @@ def fuse_rows(
     if failing.any():
         row = int(failing.argmax())
         if lbp_total[row] == 0:
-            raise EmptyHistogram("lbp histogram has zero total mass")
+            raise EmptyHistogram("lbp histogram has zero total mass", row)
         if wld_total[row] == 0:
-            raise EmptyHistogram("wld histogram has zero total mass")
+            raise EmptyHistogram("wld histogram has zero total mass", row)
         raise DegenerateProduct(
-            "histograms have disjoint support; their product is all-zero"
+            "histograms have disjoint support; their product is all-zero", row
         )
     return v / v.sum(axis=1)[:, None]

@@ -8,6 +8,7 @@ feature dump stores it (one JSON object per line); evaluation fuses it.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .classify import LabeledDataset
 from .descriptors import DescriptorConfig, HISTOGRAM_BINS, lbp_histogram, wld_histogram
-from .errors import MalformedCsv, RangeOverflow
+from .errors import DegenerateProduct, EmptyHistogram, MalformedCsv, RangeOverflow
 from .fusion import FusionStrategy, fuse_rows
 from .signals import EventDetectorConfig, EventWindow, PowerSignal, detect_events, impute_zeros
 from .transform2d import reshape
@@ -38,6 +39,10 @@ class FeatureTable:
 
     def __len__(self) -> int:
         return len(self.label)
+
+
+def _where(label: str, source_id: str, onset: int) -> str:
+    return f"label {label!r}, source_id {source_id!r}, onset {onset}"
 
 
 def _extract_one(signal: PowerSignal, detector: EventDetectorConfig) -> list[EventWindow]:
@@ -66,7 +71,7 @@ def extract_records(
             matrices = reshape(np.stack([w.samples for _, w in chunk]))
         except RangeOverflow as exc:
             s, w = chunk[exc.row]
-            where = f"label {s.label!r}, source_id {s.source_id!r}, onset {w.onset_index}"
+            where = _where(s.label, s.source_id, w.onset_index)
             raise RangeOverflow(f"{exc} ({where})", len(labels) + exc.row) from None
         labels += [s.label for s, _ in chunk]
         sources += [s.source_id for s, _ in chunk]
@@ -78,25 +83,46 @@ def extract_records(
     return FeatureTable(labels, sources, onsets, lbp, wld)
 
 
-def _decimal_rows(counts: np.ndarray, digits: np.ndarray) -> list[str]:
+def _decimal_table(top: int) -> np.ndarray:
+    """The text ``"v,"`` of every v in 0..top as one fixed-width void element.
+
+    Digits are right-aligned behind NUL bytes; the width is a power of two,
+    which ``np.take`` gathers fastest.
+    """
+    width = len(str(top))
+    values = np.arange(top + 1, dtype=np.int64)
+    text = np.zeros((top + 1, 1 << width.bit_length()), dtype=np.uint8)
+    text[:, -1] = ord(",")
+    for place in range(width):  # units first; a leading zero stays NUL
+        power = 10**place
+        text[:, -2 - place] = np.where(values >= power, values // power % 10 + ord("0"), 0)
+    text[0, -2] = ord("0")
+    return text.view(np.dtype((np.void, text.shape[1]))).ravel()
+
+
+def _format_rows(counts: np.ndarray, decimals: np.ndarray) -> list[str]:
     """Each row of ``counts`` as comma-separated decimals."""
-    text = digits[np.minimum(counts, len(digits) - 1)]
-    beyond = counts >= len(digits)
-    if beyond.any():
-        text[beyond] = [str(v) for v in counts[beyond].tolist()]
-    return [",".join(row) for row in text.tolist()]
+    top = len(decimals) - 1
+    chars = np.take(decimals, counts, mode="clip").view(np.uint8)
+    chars[:, -1] = ord("\n")  # each row's last comma ends its line
+    rows = chars.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    # counts past the table, and any negative one, keep their own str()
+    if counts.max() > top or counts.min() < 0:
+        for i in np.flatnonzero(((counts < 0) | (counts > top)).any(axis=1)).tolist():
+            rows[i] = ",".join(map(str, counts[i].tolist()))
+    return rows
 
 
 def records_to_jsonl(table: FeatureTable) -> str:
     """One JSON object per window and line, with sorted keys and no spaces."""
-    # strings for 0..the largest count, but never more than the table has counts
+    # texts for 0..the largest count, but never more than the table has counts
     top = min(int(max(table.lbp.max(initial=0), table.wld.max(initial=0))), table.lbp.size)
-    digits = np.array([str(v) for v in range(top + 1)], dtype=object)
+    decimals = _decimal_table(top)
     quoted = {s: json.dumps(s) for s in {*table.label, *table.source_id}}
     step = max(1, CHUNK_SAMPLES // HISTOGRAM_BINS)
     lines = []
     for start in range(0, len(table), step):
-        rows = (_decimal_rows(c[start : start + step], digits) for c in (table.lbp, table.wld))
+        rows = (_format_rows(c[start : start + step], decimals) for c in (table.lbp, table.wld))
         for i, (lbp, wld) in enumerate(zip(*rows), start):
             label, source = quoted[table.label[i]], quoted[table.source_id[i]]
             lines.append(
@@ -106,13 +132,86 @@ def records_to_jsonl(table: FeatureTable) -> str:
     return "".join(lines)
 
 
+# a dump line exactly as records_to_jsonl writes it, with strings that need no
+# escape and an onset of at most 18 digits; _parse_counts checks the counts
+_CANONICAL_LINE = re.compile(
+    r'\{"label":"([ !#-\[\]-~]*)","lbp":\[([0-9,]*)\],"onset_index":(0|[1-9][0-9]{0,17}),'
+    r'"source_id":"([ !#-\[\]-~]*)","wld":\[([0-9,]*)\]\}(?:\n|\Z)'
+)
+
+
+def _parse_counts(bodies: list[str]) -> np.ndarray | None:
+    """The (len(bodies), 256) counts of histogram texts in the writer's format.
+
+    Returns None unless every text is 256 comma-separated decimals of 1 to 18
+    digits without a leading zero, so each fits int64 and reads as JSON would.
+    """
+    joined = ",".join(bodies)
+    chars = np.frombuffer(f",{joined},".encode("ascii"), dtype=np.uint8)
+    commas = np.flatnonzero(chars == ord(","))  # around every count
+    digits = np.diff(commas) - 1
+    row_starts = np.cumsum([0] + [len(body) + 1 for body in bodies[:-1]])
+    if (
+        digits.size != len(bodies) * HISTOGRAM_BINS
+        or not np.array_equal(commas[:-1:HISTOGRAM_BINS], row_starts)
+        or digits.min() < 1
+        or digits.max() > 18
+        or ((chars[commas[:-1] + 1] == ord("0")) & (digits > 1)).any()
+    ):
+        return None
+    return np.fromstring(joined, dtype=np.int64, sep=",").reshape(len(bodies), HISTOGRAM_BINS)
+
+
+def _canonical_lines(text: str):
+    """The fields of each line while it is in the writer's format; None for one that is not."""
+    pos = 0
+    while pos < len(text):
+        match = _CANONICAL_LINE.match(text, pos)
+        if match is None:
+            yield None
+            return
+        yield match.groups()
+        pos = match.end()
+
+
+def _parse_canonical(text: str) -> FeatureTable | None:
+    """The table of a dump whose every line is in the writer's exact format, else None."""
+    most = text.count("\n") + 1
+    labels, sources, onsets = [], [], []
+    lbp, wld = np.empty((2, most, HISTOGRAM_BINS), dtype=np.int64)
+    lines = _canonical_lines(text)
+    while fields := list(islice(lines, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS))):
+        if fields[-1] is None:
+            return None
+        for column, out in ((1, lbp), (4, wld)):
+            counts = _parse_counts([f[column] for f in fields])
+            if counts is None:
+                return None
+            out[len(labels) : len(labels) + len(fields)] = counts
+        labels += [f[0] for f in fields]
+        onsets += [int(f[2]) for f in fields]
+        sources += [f[3] for f in fields]
+    return FeatureTable(labels, sources, onsets, lbp[: len(labels)], wld[: len(labels)])
+
+
 def load_records(path: str | Path) -> FeatureTable:
-    """Parse a feature dump written by ``records_to_jsonl``."""
+    """Parse a feature dump written by ``records_to_jsonl``.
+
+    A dump in the writer's exact format is parsed a stack of lines at a time;
+    any other is read line by line with ``json.loads``, which also names the
+    first bad line.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not readable as text: {exc}") from None
+    table = _parse_canonical(text)
+    return table if table is not None else _parse_lines(path, text)
+
+
+def _parse_lines(path: Path, text: str) -> FeatureTable:
+    """Parse any dump one ``json.loads`` per line, validating every record."""
     lines = text.splitlines()
     labels, sources, onsets = [], [], []
     lbp, wld = np.empty((2, len(lines), HISTOGRAM_BINS), dtype=np.int64)
@@ -160,9 +259,15 @@ def dataset_from_records(
     """Fuse every window's histogram pair into one labeled dataset.
 
     All windows are fused at once by :func:`fuse_rows`, so the first window
-    that cannot be fused raises its own error.
+    that cannot be fused raises its own error, naming the window.
     """
     strategy = FusionStrategy(strategy)
     if not len(table):
         raise ValueError("no windows to fuse")
-    return LabeledDataset(fuse_rows(table.lbp, table.wld, strategy), table.label, strategy)
+    try:
+        fused = fuse_rows(table.lbp, table.wld, strategy)
+    except (EmptyHistogram, DegenerateProduct) as exc:
+        i = exc.row
+        where = _where(table.label[i], table.source_id[i], table.onset_index[i])
+        raise type(exc)(f"{exc} ({where})", i) from None
+    return LabeledDataset(fused, table.label, strategy)

@@ -141,35 +141,32 @@ def detect_events(signal: PowerSignal, cfg: EventDetectorConfig) -> list[EventWi
     if n < 2 * w:
         return []
 
+    # score[j] is the change at index i = w + j
     csum = np.concatenate(([0.0], np.cumsum(x)))
-    pos = np.arange(w, n - w + 1)
-    mean_after = (csum[pos + w] - csum[pos]) / w
-    mean_before = (csum[pos] - csum[pos - w]) / w
+    mean_after = (csum[2 * w :] - csum[w : n - w + 1]) / w
+    mean_before = (csum[w : n - w + 1] - csum[: n - 2 * w + 1]) / w
     score = np.abs(mean_after - mean_before)
 
     hot = np.flatnonzero(score > cfg.delta_watts)
     if hot.size == 0:
         return []
-    breaks = np.flatnonzero(np.diff(hot) > 1)
-    run_starts = np.concatenate(([0], breaks + 1))
-    run_ends = np.concatenate((breaks, [hot.size - 1]))
+    new_run = np.concatenate(([True], hot[1:] - hot[:-1] > 1))
+    run_starts = np.flatnonzero(new_run)
+    # each run's peak: its first index whose score equals the run's maximum
+    hot_score = score[hot]
+    run_max = np.maximum.reduceat(hot_score, run_starts)
+    at_max = np.flatnonzero(hot_score == run_max[np.cumsum(new_run) - 1])
+    peaks = at_max[np.searchsorted(at_max, run_starts)]
 
     onsets: list[int] = []
-    last = None
-    for s, e in zip(run_starts, run_ends):
-        lo, hi = hot[s], hot[e]
-        peak = lo + int(np.argmax(score[lo : hi + 1]))
-        onset = int(pos[peak])
-        if last is not None and onset - last <= length:
-            continue
-        onsets.append(onset)
-        last = onset
+    for onset in (hot[peaks] + w).tolist():
+        if not onsets or onset - onsets[-1] > length:
+            onsets.append(onset)
 
-    windows = []
-    for onset in onsets:
-        observed = min(length, n - onset)
-        samples = np.empty(length, dtype=np.float64)
-        samples[:observed] = x[onset : onset + observed]
-        samples[observed:] = x[n - 1]
-        windows.append(EventWindow(samples, onset, signal.label, length - observed))
-    return windows
+    # every window in one gather from x followed by length - 1 copies of its last sample
+    padded = np.concatenate((x, np.full(length - 1, x[n - 1])))
+    cut = np.lib.stride_tricks.sliding_window_view(padded, length)[onsets]
+    return [
+        EventWindow(samples, onset, signal.label, max(0, onset + length - n))
+        for samples, onset in zip(cut, onsets)
+    ]

@@ -4,13 +4,13 @@ Everything in this module is deliberately scalar, loop-based and written
 directly from the operation definitions, so the vectorized production code
 can be cross-checked against a second, independent path. Keep it dumb.
 
-Four functions are frozen copies of original production code rather than
+Five functions are frozen copies of original production code rather than
 independent derivations: :func:`knn_predict_exact_ref` (the per-query
 classifier scan), :func:`fuse_ref` (the one-window histogram fusion),
-:func:`load_csv_ref` (the row-by-row CSV reader) and
-:func:`write_corpus_ref` (the per-row corpus writer). They pin outputs bit
-for bit, and error messages too, where the scalar oracles only pin the
-definitions.
+:func:`load_csv_ref` (the row-by-row CSV reader), :func:`write_corpus_ref`
+(the per-row corpus writer) and :func:`detect_events_ref` (the per-run,
+per-window event detector). They pin outputs bit for bit, and error
+messages too, where the scalar oracles only pin the definitions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from texture_nilm.errors import (
     MalformedCsv,
     NonMonotoneTimestamps,
 )
-from texture_nilm.signals import PowerSignal
+from texture_nilm.signals import EventWindow, PowerSignal
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -98,6 +98,50 @@ def detect_onsets_ref(values, delta, steady, window_len):
         onsets.append(best)
         last = best
     return onsets
+
+
+def detect_events_ref(signal, cfg):
+    """Frozen from the original detect_events: one argmax per run of
+    super-threshold scores and one slice per window."""
+    x = signal.samples
+    w = cfg.steady_len
+    length = cfg.window_len
+    n = x.size
+    if n < 2 * w:
+        return []
+
+    csum = np.concatenate(([0.0], np.cumsum(x)))
+    pos = np.arange(w, n - w + 1)
+    mean_after = (csum[pos + w] - csum[pos]) / w
+    mean_before = (csum[pos] - csum[pos - w]) / w
+    score = np.abs(mean_after - mean_before)
+
+    hot = np.flatnonzero(score > cfg.delta_watts)
+    if hot.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(hot) > 1)
+    run_starts = np.concatenate(([0], breaks + 1))
+    run_ends = np.concatenate((breaks, [hot.size - 1]))
+
+    onsets = []
+    last = None
+    for s, e in zip(run_starts, run_ends):
+        lo, hi = hot[s], hot[e]
+        peak = lo + int(np.argmax(score[lo : hi + 1]))
+        onset = int(pos[peak])
+        if last is not None and onset - last <= length:
+            continue
+        onsets.append(onset)
+        last = onset
+
+    windows = []
+    for onset in onsets:
+        observed = min(length, n - onset)
+        samples = np.empty(length, dtype=np.float64)
+        samples[:observed] = x[onset : onset + observed]
+        samples[observed:] = x[n - 1]
+        windows.append(EventWindow(samples, onset, signal.label, length - observed))
+    return windows
 
 
 def reshape_ref(values):

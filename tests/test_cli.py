@@ -429,6 +429,47 @@ class TestEvalCommand:
         assert f"line 1: {message}" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_non_canonical_dump_gives_the_same_report(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["extract", "--config", str(cfg)]) == 0
+        dump = tmp_path / "out" / "features.jsonl"
+        report = tmp_path / "out" / "report.json"
+        assert main(["eval", "--config", str(cfg)]) == 0
+        canonical = report.read_bytes()
+        # the same records with spaces after every separator
+        lines = dump.read_text().splitlines()
+        dump.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert report.read_bytes() == canonical
+
+    @pytest.mark.parametrize(
+        "strategy, lbp, wld, message",
+        [
+            ("mult", {3: 5}, {4: 5}, "disjoint support"),
+            ("sum", {}, {4: 5}, "lbp histogram has zero total mass"),
+            ("concat", {3: 5}, {}, "wld histogram has zero total mass"),
+        ],
+        ids=["disjoint", "empty_lbp", "empty_wld"],
+    )
+    def test_fusion_error_names_its_window(self, tmp_path, capsys, strategy, lbp, wld, message):
+        cfg = write_config(tmp_path / "c.json")
+        dump = tmp_path / "out" / "features.jsonl"
+        dump.parent.mkdir(parents=True)
+        records = []
+        for i, label in enumerate(["left"] * 3 + ["right"] * 3):
+            record = {"label": label, "lbp": [1] * 256, "onset_index": 10 * i}
+            records.append({**record, "source_id": f"rec_{i}", "wld": [1] * 256})
+        for key, bins in (("lbp", lbp), ("wld", wld)):
+            records[4][key] = [bins.get(b, 0) for b in range(256)]
+        dump.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--strategy", strategy]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "(label 'right', source_id 'rec_4', onset 40)" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_non_utf8_dump_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         dump = tmp_path / "out" / "features.jsonl"

@@ -106,14 +106,22 @@ def per_record_dataset(table, strategy):
     """The dataset fused one record at a time by the frozen one-window fusion.
 
     DescriptorHistogram rejects a record's wrong-length, negative or
-    non-finite bins before fuse_ref sees them.
+    non-finite bins before fuse_ref sees them. A record that cannot be fused
+    is named by its label, source id and onset.
     """
     strategy = FusionStrategy(strategy)
     vectors = []
-    for lbp, wld in zip(table.lbp, table.wld):
+    for i, (lbp, wld) in enumerate(zip(table.lbp, table.wld)):
         lbp = DescriptorHistogram(lbp, "lbp").bins
         wld = DescriptorHistogram(wld, "wld").bins
-        vectors.append(fuse_ref(lbp, wld, strategy))
+        try:
+            vectors.append(fuse_ref(lbp, wld, strategy))
+        except (DegenerateProduct, EmptyHistogram) as exc:
+            where = (
+                f"label {table.label[i]!r}, source_id {table.source_id[i]!r}, "
+                f"onset {table.onset_index[i]}"
+            )
+            raise type(exc)(f"{exc} ({where})") from None
     return LabeledDataset(np.vstack(vectors), table.label, strategy)
 
 

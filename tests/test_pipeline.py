@@ -1,8 +1,14 @@
 """The feature table: chunked extraction and the JSONL writer and reader."""
 
 import json
+import re
+from functools import partial
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texture_nilm import DescriptorConfig, EventDetectorConfig, SynthConfig, generate, pipeline
 from texture_nilm.pipeline import FeatureTable, extract_records, load_records, records_to_jsonl
@@ -74,3 +80,173 @@ def test_writer_matches_json_dumps_on_any_counts_and_strings(tmp_path):
     assert records_to_jsonl(load_records(dump)) == text
     empty = np.zeros((0, 256), dtype=np.int64)
     assert records_to_jsonl(FeatureTable([], [], [], empty, empty)) == ""
+
+
+STEP = pipeline.CHUNK_SAMPLES // 256
+
+
+def decimal_widths(most):
+    """Counts of every decimal width from 1 to ``most`` digits, up to the largest int64."""
+    return st.integers(1, most).flatmap(
+        lambda d: st.integers(0 if d == 1 else 10 ** (d - 1), min(10**d - 1, 2**63 - 1))
+    )
+
+
+# plain, quoted, escaped, control and non-ASCII characters
+NAMES = st.one_of(
+    st.sampled_from(["kettle", 'a "b"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "café ☃ 𝄞"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def feature_tables(
+    draw,
+    rows=st.sampled_from([0, 1, STEP - 1, STEP, STEP + 1]),
+    names=NAMES,
+    counts=decimal_widths(19),
+    onsets=st.integers(0, 2**64),
+):
+    """Tables whose counts come from a few drawn values of any decimal width."""
+    n = draw(rows)
+    palette = np.array(draw(st.lists(counts, min_size=1, max_size=8)), dtype=np.int64)
+    names = draw(st.lists(names, min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # mostly small counts, as extraction writes, among the drawn ones
+    small = rng.integers(0, 40, (2, n, 256))
+    lbp, wld = np.where(rng.random((2, n, 256)) < 0.1, rng.choice(palette, (2, n, 256)), small)
+    pick = rng.integers(0, len(names), (2, n)).tolist()
+    return FeatureTable(
+        [names[i] for i in pick[0]],
+        [names[i] for i in pick[1]],
+        draw(st.lists(onsets, min_size=n, max_size=n)),
+        lbp,
+        wld,
+    )
+
+
+# tables the fast reader takes: escape-free ASCII strings, and onsets and
+# counts of at most 18 digits
+canonical_tables = partial(
+    feature_tables,
+    names=st.text(
+        st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'),
+        max_size=6,
+    ),
+    counts=decimal_widths(18),
+    onsets=st.integers(0, 10**18 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(feature_tables())
+def test_writer_matches_json_dumps(table):
+    assert records_to_jsonl(table) == jsonl_ref(table)
+
+
+def table_state(table):
+    """Everything a FeatureTable holds, comparable with ==."""
+    return (
+        table.label,
+        table.source_id,
+        [(type(onset), onset) for onset in table.onset_index],
+        *((bins.dtype, bins.shape, bins.tobytes()) for bins in (table.lbp, table.wld)),
+    )
+
+
+def read_outcome(path):
+    """load_records and the per-line reader on one file: each table or error."""
+    outcomes = []
+    for read in (load_records, lambda p: pipeline._parse_lines(p, p.read_text())):
+        try:
+            outcomes.append(table_state(read(path)))
+        except Exception as exc:  # the type and message are what is compared
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def first_count(key, text):
+    """Replace the first count of the line's ``key`` histogram by ``text``."""
+    return lambda line: re.sub(rf'"{key}":\[\d+', f'"{key}":[{text}', line, count=1)
+
+
+# edits of one canonical line; json.loads still reads some of them
+PERTURBATIONS = {
+    "spaces": lambda line: json.dumps(json.loads(line), sort_keys=True),
+    "key_order": lambda line: json.dumps(
+        dict(reversed(json.loads(line).items())), separators=(",", ":")
+    ),
+    "u_escape": lambda line: line.replace('"label":"', '"label":"\\u00e9\\u0041', 1),
+    "raw_non_ascii": lambda line: line.replace('"source_id":"', '"source_id":"é☃', 1),
+    "float": first_count("lbp", "2.0"),
+    "negative": first_count("wld", "-3"),
+    "leading_zero": first_count("wld", "01"),
+    "19_digits": first_count("lbp", "1000000000000000000"),
+    "over_int64": first_count("wld", "9223372036854775808"),
+    "255_counts": lambda line: re.sub(r'"lbp":\[\d+,', '"lbp":[', line, count=1),
+    "257_counts": first_count("lbp", "0,0"),
+    "no_counts": lambda line: re.sub(r'"wld":\[[0-9,]*\]', '"wld":[]', line),
+    "empty_count": first_count("wld", ""),
+    "empty_last_count": lambda line: re.sub(r'\d+\],"onset_index"', '],"onset_index"', line),
+    "blank_line": lambda line: line + "\n  ",
+    "crlf": lambda line: line + "\r",
+    "trailing_junk": lambda line: line + "x",
+    "two_records": lambda line: line + line,
+    "true_onset": lambda line: re.sub(r'"onset_index":\d+', '"onset_index":true', line),
+    "19_digit_onset": lambda line: re.sub(
+        r'"onset_index":\d+', '"onset_index":1234567890123456789', line
+    ),
+    "leading_zero_onset": lambda line: re.sub(r'"onset_index":', '"onset_index":0', line),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(canonical_tables())
+def test_reader_reads_canonical_dumps_as_the_per_line_reader_does(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("dump") / "features.jsonl"
+    path.write_text(records_to_jsonl(table))
+    with mock.patch.object(pipeline.json, "loads", side_effect=AssertionError("slow path")):
+        fast = table_state(load_records(path))
+    assert fast == table_state(pipeline._parse_lines(path, path.read_text()))
+    assert fast == table_state(table)
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS) + ["count_moved"])
+@settings(max_examples=8, deadline=None)
+@given(canonical_tables(rows=st.sampled_from([1, 2, STEP + 1])), st.data())
+def test_reader_matches_the_per_line_reader_on_edited_dumps(
+    tmp_path_factory, perturbation, table, data
+):
+    lines = records_to_jsonl(table).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if perturbation == "count_moved":
+        # 255 counts on one line and 257 on the next: 256 per line on average
+        j = (i + 1) % len(lines)
+        lines[i] = PERTURBATIONS["255_counts"](lines[i])
+        lines[j] = PERTURBATIONS["257_counts"](lines[j])
+    else:
+        lines[i] = PERTURBATIONS[perturbation](lines[i])
+    path = tmp_path_factory.mktemp("dump") / "features.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    fast, slow = read_outcome(path)
+    assert fast == slow
+
+
+def test_canonical_dump_is_read_without_json_loads(monkeypatch, tmp_path):
+    table = extract_records(
+        generate(CONFTEST_SYNTH), EventDetectorConfig(window_len=16), DescriptorConfig()
+    )
+    # stacks of 32 lines, so the dump is read in several
+    monkeypatch.setattr(pipeline, "CHUNK_SAMPLES", 32 * 256)
+    assert len(table) > 3 * 32
+    dump = tmp_path / "features.jsonl"
+    dump.write_text(records_to_jsonl(table))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(pipeline.json, "loads", lambda s: calls.append(s) or loads(s))
+    assert table_state(load_records(dump)) == table_state(table)
+    assert calls == []
+    # the counter does see the per-line reader
+    dump.write_text(records_to_jsonl(table).replace(",", ", ", 1))
+    assert table_state(load_records(dump)) == table_state(table)
+    assert len(calls) == len(table)

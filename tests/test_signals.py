@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import detect_onsets_ref, impute_ref
+from oracles import detect_events_ref, detect_onsets_ref, impute_ref
 from texture_nilm import (
     EventDetectorConfig,
     EventWindow,
@@ -180,3 +180,58 @@ class TestDetectEvents:
         assert [w.onset_index for w in got] == expected
         for w in got:
             assert len(w) == cfg.window_len
+
+
+@st.composite
+def stepped_signals(draw):
+    """Piecewise-constant signals, with or without noise, and a detector."""
+    w = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    length = draw(st.integers(min_value=9, max_value=24))
+    delta = draw(st.sampled_from([0.5, 15.0, 30.5]))
+    segments = draw(
+        st.lists(
+            st.tuples(st.integers(1, 400), st.integers(1, length + 2)), min_size=1, max_size=10
+        )
+    )
+    levels, runs = zip(*segments)
+    values = np.repeat(np.array(levels, dtype=np.float64), runs)
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        values += np.random.default_rng(seed).normal(0.0, 3.0, values.size)
+        values[values == 0.0] = 1.0
+    return values.tolist(), EventDetectorConfig(delta, w, length)
+
+
+def two_steps(gap, length=16):
+    """Steps at 40 and 40 + gap; the second is kept only if gap > length."""
+    values = [1.0] * 40 + [200.0] * gap + [400.0] * (length + 8)
+    return values, EventDetectorConfig(50.0, 4, length)
+
+
+class TestDetectEventsParity:
+    """detect_events against the frozen per-run, per-window original."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stepped_signals())
+    # a two-sample spike: equal scores on a plateau inside one run
+    @example(([1.0] * 8 + [101.0] * 2 + [1.0] * 8, EventDetectorConfig(20.0, 4, 16)))
+    # hot runs at the first and at the last scored index
+    @example(([300.0] + [1.0] * 20, EventDetectorConfig(20.0, 4, 16)))
+    @example(([1.0] * 4 + [200.0] * 20, EventDetectorConfig(20.0, 4, 16)))
+    @example(([1.0] * 20 + [200.0] * 4, EventDetectorConfig(20.0, 4, 16)))
+    @example(([1.0] * 20 + [300.0], EventDetectorConfig(20.0, 4, 16)))
+    # fewer than 2 * steady_len samples, and fewer than window_len
+    @example(([1.0, 500.0, 1.0], EventDetectorConfig(20.0, 4, 16)))
+    @example(([1.0] * 6 + [300.0] * 4, EventDetectorConfig(20.0, 2, 16)))
+    # back-to-back steps exactly window_len and window_len + 1 apart
+    @example(two_steps(16))
+    @example(two_steps(17))
+    def test_matches_frozen_detector(self, case):
+        values, cfg = case
+        signal = sig(values, label="kettle")
+        got = detect_events(signal, cfg)
+        expected = detect_events_ref(signal, cfg)
+        assert [(w.onset_index, w.pad_count, w.label) for w in got] == [
+            (w.onset_index, w.pad_count, w.label) for w in expected
+        ]
+        assert [w.samples.tobytes() for w in got] == [w.samples.tobytes() for w in expected]
