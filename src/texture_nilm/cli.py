@@ -227,7 +227,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or text that does not decode
         raise MalformedCsv(f"{path}: not valid JSON: {exc}") from exc
     try:
         if "strategies" in doc:

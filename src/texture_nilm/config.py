@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,13 +65,40 @@ class PipelineConfig:
                 )
 
 
+# what a config value must be, by its field's annotated type; enum and nested
+# config fields are left to their own constructors
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    bool: ("true or false", lambda v: type(v) is bool),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple[str, ...]: (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+    ),
+}
+
+
+def _check_type(value, hint, key: str) -> None:
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in kinds:
+        return
+    for kind in kinds:
+        if kind in _JSON_TYPES:
+            what, fits = _JSON_TYPES[kind]
+            if not fits(value):
+                raise InvalidConfig(f"{key} must be {what}, got {json.dumps(value)}")
+
+
 def _build(cls, block: dict, where: str):
     if not isinstance(block, dict):
         raise InvalidConfig(f"{where} must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(block) - fields
+    hints = typing.get_type_hints(cls)
+    unknown = set(block) - set(hints)
     if unknown:
         raise InvalidConfig(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, value in block.items():
+        _check_type(value, hints[key], f"{where}.{key}")
     try:
         return cls(**block)
     except (TypeError, ValueError) as exc:
@@ -79,18 +108,13 @@ def _build(cls, block: dict, where: str):
 def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise InvalidConfig("config root must be a JSON object")
-    known = {"detector", "descriptor", "fusion_strategy", "knn", "eval", "io"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(PipelineConfig)}
     if unknown:
         raise InvalidConfig(f"unknown top-level keys: {sorted(unknown)}")
 
-    io_block = dict(raw.get("io", {}))
-    if "synth" in io_block and io_block["synth"] is not None:
-        synth_block = io_block["synth"]
-        if isinstance(synth_block, dict) and "classes" in synth_block:
-            synth_block = dict(synth_block)
-            synth_block["classes"] = tuple(synth_block["classes"])
-        io_block["synth"] = _build(SynthConfig, synth_block, "io.synth")
+    io_block = raw.get("io", {})
+    if isinstance(io_block, dict) and io_block.get("synth") is not None:
+        io_block = {**io_block, "synth": _build(SynthConfig, io_block["synth"], "io.synth")}
 
     try:
         strategy = FusionStrategy(raw.get("fusion_strategy", "sum"))
@@ -112,10 +136,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     IO errors propagate as OSError; content problems raise InvalidConfig.
     """
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON, or text that does not decode
         raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 
@@ -160,29 +183,7 @@ def apply_overrides(
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     """Plain-JSON view of a config, canonical enough to fingerprint."""
-    return {
-        "detector": dataclasses.asdict(cfg.detector),
-        "descriptor": dataclasses.asdict(cfg.descriptor),
-        "fusion_strategy": cfg.fusion_strategy.value,
-        "knn": {
-            "k": cfg.knn.k,
-            "metric": cfg.knn.metric.value,
-            "weighting": cfg.knn.weighting.value,
-        },
-        "eval": dataclasses.asdict(cfg.eval),
-        "io": {
-            "output": cfg.io.output,
-            "input_root": cfg.io.input_root,
-            "synth": (
-                None
-                if cfg.io.synth is None
-                else {**dataclasses.asdict(cfg.io.synth),
-                      "classes": list(cfg.io.synth.classes)}
-            ),
-            "sampling_rate_hz": cfg.io.sampling_rate_hz,
-            "report_csv": cfg.io.report_csv,
-        },
-    }
+    return dataclasses.asdict(cfg)
 
 
 def config_fingerprint(cfg: PipelineConfig) -> str:

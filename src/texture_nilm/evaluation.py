@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,23 +56,7 @@ class EvalReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "class_labels": list(self.class_labels),
-            "per_fold": [
-                {
-                    "fold": f.fold,
-                    "accuracy": f.accuracy,
-                    "macro_f1": f.macro_f1,
-                    "test_size": f.test_size,
-                }
-                for f in self.per_fold
-            ],
-            "mean_accuracy": self.mean_accuracy,
-            "mean_macro_f1": self.mean_macro_f1,
-            "confusion": [[int(v) for v in row] for row in self.confusion],
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -155,8 +139,8 @@ def macro_f1(confusion: np.ndarray) -> float:
 
 def _default_fingerprint(ds: LabeledDataset, knn: KnnConfig, cfg: EvalConfig) -> str:
     visible = {
-        "knn": {"k": knn.k, "metric": knn.metric.value, "weighting": knn.weighting.value},
-        "eval": {"folds": cfg.folds, "seed": cfg.seed, "stratified": cfg.stratified},
+        "knn": asdict(knn),
+        "eval": asdict(cfg),
         "strategy": None if ds.strategy is None else ds.strategy.value,
     }
     canonical = json.dumps(visible, sort_keys=True, separators=(",", ":"))

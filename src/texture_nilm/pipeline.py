@@ -132,65 +132,47 @@ def records_to_jsonl(table: FeatureTable) -> str:
     return "".join(lines)
 
 
-# a dump line exactly as records_to_jsonl writes it, with strings that need no
-# escape and an onset of at most 18 digits; _parse_counts checks the counts
-_CANONICAL_LINE = re.compile(
-    r'\{"label":"([ !#-\[\]-~]*)","lbp":\[([0-9,]*)\],"onset_index":(0|[1-9][0-9]{0,17}),'
-    r'"source_id":"([ !#-\[\]-~]*)","wld":\[([0-9,]*)\]\}(?:\n|\Z)'
+# the fields of a dump line in the writer's layout; re-encoding checks the rest
+_FIELDS = re.compile(
+    r'\{"label":"([^"\\]*)","lbp":\[([0-9,]*)\],"onset_index":([0-9]{1,19}),'
+    r'"source_id":"([^"\\]*)","wld":\[([0-9,]*)\]\}\n'
 )
 
 
-def _parse_counts(bodies: list[str]) -> np.ndarray | None:
-    """The (len(bodies), 256) counts of histogram texts in the writer's format.
-
-    Returns None unless every text is 256 comma-separated decimals of 1 to 18
-    digits without a leading zero, so each fits int64 and reads as JSON would.
-    """
-    joined = ",".join(bodies)
-    chars = np.frombuffer(f",{joined},".encode("ascii"), dtype=np.uint8)
-    commas = np.flatnonzero(chars == ord(","))  # around every count
-    digits = np.diff(commas) - 1
-    row_starts = np.cumsum([0] + [len(body) + 1 for body in bodies[:-1]])
-    if (
-        digits.size != len(bodies) * HISTOGRAM_BINS
-        or not np.array_equal(commas[:-1:HISTOGRAM_BINS], row_starts)
-        or digits.min() < 1
-        or digits.max() > 18
-        or ((chars[commas[:-1] + 1] == ord("0")) & (digits > 1)).any()
-    ):
-        return None
-    return np.fromstring(joined, dtype=np.int64, sep=",").reshape(len(bodies), HISTOGRAM_BINS)
-
-
-def _canonical_lines(text: str):
-    """The fields of each line while it is in the writer's format; None for one that is not."""
-    pos = 0
-    while pos < len(text):
-        match = _CANONICAL_LINE.match(text, pos)
-        if match is None:
-            yield None
-            return
-        yield match.groups()
-        pos = match.end()
+def _most_rows(text: str, lines: int) -> int:
+    # a record's two histograms of 256 counts take more than 4 characters a bin
+    return min(lines, len(text) // (4 * HISTOGRAM_BINS)) + 1
 
 
 def _parse_canonical(text: str) -> FeatureTable | None:
-    """The table of a dump whose every line is in the writer's exact format, else None."""
-    most = text.count("\n") + 1
+    """The table of a dump that ``records_to_jsonl`` writes byte for byte, else None.
+
+    Each stack of lines is parsed loosely, then kept only if the writer turns
+    it back into exactly its text.
+    """
     labels, sources, onsets = [], [], []
-    lbp, wld = np.empty((2, most, HISTOGRAM_BINS), dtype=np.int64)
-    lines = _canonical_lines(text)
-    while fields := list(islice(lines, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS))):
-        if fields[-1] is None:
-            return None
-        for column, out in ((1, lbp), (4, wld)):
-            counts = _parse_counts([f[column] for f in fields])
-            if counts is None:
+    lbp, wld = np.empty((2, _most_rows(text, text.count("\n")), HISTOGRAM_BINS), dtype=np.int64)
+    matches, start = _FIELDS.finditer(text), 0
+    while fields := list(islice(matches, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS))):
+        rows = slice(len(labels), len(labels) + len(fields))
+        for group, out in ((2, lbp), (5, wld)):
+            joined = ",".join(f[group] for f in fields)
+            # np.fromstring stops at an empty count
+            counts = None if ",," in f",{joined}," else np.fromstring(joined, np.int64, sep=",")
+            if counts is None or counts.size != len(fields) * HISTOGRAM_BINS:
                 return None
-            out[len(labels) : len(labels) + len(fields)] = counts
-        labels += [f[0] for f in fields]
-        onsets += [int(f[2]) for f in fields]
-        sources += [f[3] for f in fields]
+            out[rows] = counts.reshape(len(fields), HISTOGRAM_BINS)
+        labels += [f[1] for f in fields]
+        sources += [f[4] for f in fields]
+        onsets += [int(f[3]) for f in fields]
+        stack = FeatureTable(labels[rows], sources[rows], onsets[rows], lbp[rows], wld[rows])
+        encoded, end = records_to_jsonl(stack), fields[-1].end()
+        # compared in place, as a copy of the stack's text would raise the peak RSS
+        if len(encoded) != end - start or not text.startswith(encoded, start):
+            return None
+        start = end
+    if start != len(text):
+        return None
     return FeatureTable(labels, sources, onsets, lbp[: len(labels)], wld[: len(labels)])
 
 
@@ -214,7 +196,7 @@ def _parse_lines(path: Path, text: str) -> FeatureTable:
     """Parse any dump one ``json.loads`` per line, validating every record."""
     lines = text.splitlines()
     labels, sources, onsets = [], [], []
-    lbp, wld = np.empty((2, len(lines), HISTOGRAM_BINS), dtype=np.int64)
+    lbp, wld = np.empty((2, _most_rows(text, len(lines)), HISTOGRAM_BINS), dtype=np.int64)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

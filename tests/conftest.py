@@ -7,6 +7,10 @@ from texture_nilm import DescriptorConfig, LabeledDataset, Matrix2D
 from texture_nilm.fusion import fuse_rows
 
 
+# the two ways config and report dicts are written: report files and fingerprints
+JSON_FORMS = ({"indent": 2}, {"separators": (",", ":")})
+
+
 @pytest.fixture
 def descriptor_cfg():
     return DescriptorConfig()

@@ -4,18 +4,23 @@ Everything in this module is deliberately scalar, loop-based and written
 directly from the operation definitions, so the vectorized production code
 can be cross-checked against a second, independent path. Keep it dumb.
 
-Five functions are frozen copies of original production code rather than
+Eight functions are frozen copies of original production code rather than
 independent derivations: :func:`knn_predict_exact_ref` (the per-query
 classifier scan), :func:`fuse_ref` (the one-window histogram fusion),
 :func:`load_csv_ref` (the row-by-row CSV reader), :func:`write_corpus_ref`
-(the per-row corpus writer) and :func:`detect_events_ref` (the per-run,
-per-window event detector). They pin outputs bit for bit, and error
-messages too, where the scalar oracles only pin the definitions.
+(the per-row corpus writer), :func:`detect_events_ref` (the per-run,
+per-window event detector), and :func:`config_to_dict_ref`,
+:func:`report_to_dict_ref` and :func:`default_fingerprint_ref` (the config
+and report dicts written out field by field). They pin outputs bit for bit,
+and error messages too, where the scalar oracles only pin the definitions.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
+import json
 import math
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -387,3 +392,61 @@ def write_corpus_ref(signals, root):
         path.write_text("\n".join(lines) + "\n")
         counts[signal.label] = counts.get(signal.label, 0) + 1
     return counts
+
+
+def config_to_dict_ref(cfg):
+    """Frozen from the original config serializer: every block field by field."""
+    return {
+        "detector": dataclasses.asdict(cfg.detector),
+        "descriptor": dataclasses.asdict(cfg.descriptor),
+        "fusion_strategy": cfg.fusion_strategy.value,
+        "knn": {
+            "k": cfg.knn.k,
+            "metric": cfg.knn.metric.value,
+            "weighting": cfg.knn.weighting.value,
+        },
+        "eval": dataclasses.asdict(cfg.eval),
+        "io": {
+            "output": cfg.io.output,
+            "input_root": cfg.io.input_root,
+            "synth": (
+                None
+                if cfg.io.synth is None
+                else {**dataclasses.asdict(cfg.io.synth), "classes": list(cfg.io.synth.classes)}
+            ),
+            "sampling_rate_hz": cfg.io.sampling_rate_hz,
+            "report_csv": cfg.io.report_csv,
+        },
+    }
+
+
+def report_to_dict_ref(report):
+    """Frozen from the original ``EvalReport.to_dict``."""
+    return {
+        "class_labels": list(report.class_labels),
+        "per_fold": [
+            {
+                "fold": f.fold,
+                "accuracy": f.accuracy,
+                "macro_f1": f.macro_f1,
+                "test_size": f.test_size,
+            }
+            for f in report.per_fold
+        ],
+        "mean_accuracy": report.mean_accuracy,
+        "mean_macro_f1": report.mean_macro_f1,
+        "confusion": [[int(v) for v in row] for row in report.confusion],
+        "config_fingerprint": report.config_fingerprint,
+        "seed": report.seed,
+    }
+
+
+def default_fingerprint_ref(ds, knn, cfg):
+    """Frozen from the original fingerprint of the configs ``run_eval`` sees."""
+    visible = {
+        "knn": {"k": knn.k, "metric": knn.metric.value, "weighting": knn.weighting.value},
+        "eval": {"folds": cfg.folds, "seed": cfg.seed, "stratified": cfg.stratified},
+        "strategy": None if ds.strategy is None else ds.strategy.value,
+    }
+    canonical = json.dumps(visible, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()

@@ -4,13 +4,19 @@ import random
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import write_config
+from conftest import JSON_FORMS, write_config
+from oracles import config_to_dict_ref
 from texture_nilm import (
+    ARCHETYPES,
     DescriptorConfig,
     EventDetectorConfig,
     FusionStrategy,
+    Metric,
     SynthConfig,
+    VoteWeighting,
     generate,
 )
 from texture_nilm.cli import main
@@ -18,6 +24,7 @@ from texture_nilm.config import (
     apply_overrides,
     config_fingerprint,
     config_from_dict,
+    config_to_dict,
     load_config,
 )
 from texture_nilm.errors import InvalidConfig
@@ -96,6 +103,76 @@ class TestConfigModule:
         assert out.io.synth.seed == 321
 
 
+@st.composite
+def raw_configs(draw):
+    """Config dicts of either corpus source, with each optional io field set or
+    unset, every enum value, ints in float fields and blocks left to defaults."""
+    window_len = draw(st.integers(9, 4096))
+    orientation_bins = 2 ** draw(st.integers(0, 8))
+    names = st.text(max_size=8)
+    numbers = st.floats(0.01, 1e6) | st.integers(1, 10**6)
+    io = {"output": draw(names)}
+    if draw(st.booleans()):
+        io["synth"] = {
+            "classes": draw(st.lists(st.sampled_from(ARCHETYPES), min_size=2, unique=True)),
+            "signals_per_class": draw(st.integers(1, 100)),
+            "signal_len": draw(st.integers(4096, 10**6)),
+            "noise_sigma": draw(st.floats(0, 10)),
+            "seed": draw(st.integers(0, 2**64 - 1)),
+        }
+    else:
+        io["input_root"] = draw(names)
+    for key, values in (("sampling_rate_hz", numbers), ("report_csv", names)):
+        if draw(st.booleans()):
+            io[key] = draw(st.none() | values)
+    raw = {
+        "detector": {
+            "delta_watts": draw(numbers),
+            "steady_len": draw(st.integers(1, 50)),
+            "window_len": window_len,
+        },
+        "descriptor": {
+            "orientation_bins": orientation_bins,
+            "excitation_bins": 256 // orientation_bins,
+            "epsilon": draw(numbers),
+        },
+        "fusion_strategy": draw(st.sampled_from(FusionStrategy)).value,
+        "knn": {
+            "k": draw(st.integers(1, 9)),
+            "metric": draw(st.sampled_from(Metric)).value,
+            "weighting": draw(st.sampled_from(VoteWeighting)).value,
+        },
+        "eval": {
+            "folds": draw(st.integers(2, 20)),
+            "seed": draw(st.integers(0, 2**64 - 1)),
+            "stratified": draw(st.booleans()),
+        },
+    }
+    return {key: block for key, block in raw.items() if draw(st.booleans())} | {"io": io}
+
+
+OVERRIDES = st.fixed_dictionaries(
+    {},
+    optional={
+        "strategy": st.sampled_from([s.value for s in FusionStrategy]),
+        "k": st.integers(1, 9),
+        "metric": st.sampled_from([m.value for m in Metric]),
+        "folds": st.integers(2, 20),
+        "seed": st.integers(0, 2**64 - 1),
+    },
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_configs(), OVERRIDES)
+def test_config_dict_writes_the_bytes_of_the_field_by_field_one(raw, overrides):
+    cfg = apply_overrides(config_from_dict(raw), **overrides)
+    for form in JSON_FORMS:
+        assert json.dumps(config_to_dict(cfg), sort_keys=True, **form) == json.dumps(
+            config_to_dict_ref(cfg), sort_keys=True, **form
+        )
+
+
 class TestSynthCommand:
     def test_writes_corpus_layout(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -157,6 +234,55 @@ class TestConfigErrors:
     def test_unknown_key(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", classifier={"k": 1})
         assert main(["eval", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            *(
+                (key, value, f"{key} must be {what}, got {json.dumps(value)}")
+                for key, value, what in [
+                    ("knn.k", 2.5, "an integer"),
+                    ("knn.k", True, "an integer"),
+                    ("eval.folds", 2.5, "an integer"),
+                    ("eval.seed", 1.5, "an integer"),
+                    ("eval.stratified", "no", "true or false"),
+                    ("detector.window_len", 256.5, "an integer"),
+                    ("detector.steady_len", 2.5, "an integer"),
+                    ("detector.delta_watts", "15", "a number"),
+                    ("descriptor.excitation_bins", 32.0, "an integer"),
+                    ("io.synth.signals_per_class", 4.5, "an integer"),
+                    ("io.synth.signal_len", 1024.0, "an integer"),
+                    ("io.synth.seed", 7.5, "an integer"),
+                    ("io.synth.classes", "square_wave", "a list of strings"),
+                    ("io.synth.classes", ["staircase", 5], "a list of strings"),
+                    ("io.output", 5, "a string"),
+                    ("io.sampling_rate_hz", True, "a number"),
+                ]
+            ),
+            ("io", 5, "io must be a JSON object"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, key, value, message):
+        path = write_config(tmp_path / "c.json")
+        doc = json.loads(path.read_text())
+        *blocks, last = key.split(".")
+        block = doc
+        for name in blocks:
+            block = block.setdefault(name, {})
+        block[last] = value
+        path.write_text(json.dumps(doc))
+        assert main(["extract", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"io": {"synth": {"classes": ["\xff"]}}}')
+        assert main(["extract", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON: ") and "decode" in err
 
 
 class TestExtractCommand:
@@ -606,6 +732,14 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
         assert main(["report", str(bad)]) == 3
+
+    def test_non_utf8_report_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_bytes(b'{"class_labels": ["\xff"]}')
+        assert main(["report", str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not valid JSON: ") and "decode" in err
 
     def test_json_that_is_not_a_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

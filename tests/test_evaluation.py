@@ -1,17 +1,28 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from_single_descriptor
-from oracles import knn_predict_exact_ref, macro_f1_ref
+from conftest import JSON_FORMS, dataset_from_single_descriptor
+from oracles import (
+    default_fingerprint_ref,
+    knn_predict_exact_ref,
+    macro_f1_ref,
+    report_to_dict_ref,
+)
 from texture_nilm import (
     DescriptorConfig,
     EvalConfig,
+    EvalReport,
     EventDetectorConfig,
+    FusionStrategy,
     KnnConfig,
     LabeledDataset,
+    Metric,
     SynthConfig,
+    VoteWeighting,
     evaluation,
     generate,
     macro_f1,
@@ -19,6 +30,7 @@ from texture_nilm import (
     stratified_folds,
 )
 from texture_nilm.errors import InvalidConfig, TooFewClasses, TooFewSamplesPerClass
+from texture_nilm.evaluation import FoldScore
 from texture_nilm.pipeline import dataset_from_records, extract_records
 
 
@@ -195,6 +207,56 @@ class TestRunEval:
         assert rows[0] == "fold,accuracy,macro_f1"
         assert len(rows) == 5
         assert rows[-1].startswith("aggregate,")
+
+
+@st.composite
+def eval_reports(draw):
+    n = draw(st.integers(1, 4))
+    scores = st.builds(
+        FoldScore, st.integers(0, 20), st.floats(0, 1), st.floats(0, 1), st.integers(1, 10**4)
+    )
+    counts = st.lists(st.integers(0, 2**63 - 1), min_size=n * n, max_size=n * n)
+    return EvalReport(
+        class_labels=draw(st.lists(st.text(max_size=6), min_size=n, max_size=n)),
+        per_fold=draw(st.lists(scores, min_size=1, max_size=4)),
+        mean_accuracy=draw(st.floats(0, 1)),
+        mean_macro_f1=draw(st.floats(0, 1)),
+        confusion=np.array(draw(counts), dtype=np.int64).reshape(n, n),
+        config_fingerprint=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def assert_same_json(report):
+    for form in JSON_FORMS:
+        assert json.dumps(report.to_dict(), sort_keys=True, **form) == json.dumps(
+            report_to_dict_ref(report), sort_keys=True, **form
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(eval_reports())
+def test_report_dict_writes_the_bytes_of_the_field_by_field_one(report):
+    assert_same_json(report)
+
+
+def test_run_eval_report_dict_writes_the_bytes_of_the_field_by_field_one():
+    rng = np.random.default_rng(13)
+    ds = dataset(["a"] * 10 + ["b"] * 10 + ["c"] * 7, rng)
+    assert_same_json(run_eval(ds, KnnConfig(k=3), EvalConfig(folds=5, seed=2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        KnnConfig, st.integers(1, 9), st.sampled_from(Metric), st.sampled_from(VoteWeighting)
+    ),
+    st.builds(EvalConfig, st.integers(2, 20), st.integers(0, 2**64 - 1), st.booleans()),
+    st.sampled_from([None, *FusionStrategy]),
+)
+def test_default_fingerprint_matches_the_field_by_field_one(knn, cfg, strategy):
+    ds = LabeledDataset(np.zeros((2, 3)), ["a", "b"], strategy)
+    assert evaluation._default_fingerprint(ds, knn, cfg) == default_fingerprint_ref(ds, knn, cfg)
 
 
 @pytest.fixture(scope="module")

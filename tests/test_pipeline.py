@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -211,25 +212,56 @@ def test_reader_reads_canonical_dumps_as_the_per_line_reader_does(tmp_path_facto
     assert fast == table_state(table)
 
 
-@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS) + ["count_moved"])
+EDITS = sorted(PERTURBATIONS) + ["count_moved", "no_final_newline"]
+
+
+def edited_dump(table, edit, data):
+    """The table's dump with one line edited, or without its final newline."""
+    lines = records_to_jsonl(table).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "count_moved":
+        # 255 counts on one line and 257 on the next: 256 per line on average
+        j = (i + 1) % len(lines)
+        lines[i] = PERTURBATIONS["255_counts"](lines[i])
+        lines[j] = PERTURBATIONS["257_counts"](lines[j])
+    elif edit != "no_final_newline":
+        lines[i] = PERTURBATIONS[edit](lines[i])
+    return "\n".join(lines) + ("" if edit == "no_final_newline" else "\n")
+
+
+@pytest.mark.parametrize("perturbation", EDITS)
 @settings(max_examples=8, deadline=None)
 @given(canonical_tables(rows=st.sampled_from([1, 2, STEP + 1])), st.data())
 def test_reader_matches_the_per_line_reader_on_edited_dumps(
     tmp_path_factory, perturbation, table, data
 ):
-    lines = records_to_jsonl(table).splitlines()
-    i = data.draw(st.integers(0, len(lines) - 1))
-    if perturbation == "count_moved":
-        # 255 counts on one line and 257 on the next: 256 per line on average
-        j = (i + 1) % len(lines)
-        lines[i] = PERTURBATIONS["255_counts"](lines[i])
-        lines[j] = PERTURBATIONS["257_counts"](lines[j])
-    else:
-        lines[i] = PERTURBATIONS[perturbation](lines[i])
     path = tmp_path_factory.mktemp("dump") / "features.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(edited_dump(table, perturbation, data))
     fast, slow = read_outcome(path)
     assert fast == slow
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@settings(max_examples=8, deadline=None)
+@given(canonical_tables(rows=st.sampled_from([1, 2, STEP + 1])), st.data())
+def test_fast_reader_takes_only_text_the_writer_writes(edit, table, data):
+    text = edited_dump(table, edit, data)
+    parsed = pipeline._parse_canonical(text)
+    assert parsed is None or records_to_jsonl(parsed) == text
+
+
+def test_per_line_reader_sizes_its_arrays_by_its_records(tmp_path):
+    dump = tmp_path / "features.jsonl"
+    dump.write_text("\n" * 100_000)
+    tracemalloc.start()
+    try:
+        table = load_records(dump)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 0
+    # two rows of 256 int64 counts per line would be 400 MB
+    assert peak < 20 * 2**20
 
 
 def test_canonical_dump_is_read_without_json_loads(monkeypatch, tmp_path):
