@@ -45,6 +45,9 @@ EXIT_NO_EVENTS = 4
 
 STRATEGY_NAMES = [s.value for s in FusionStrategy]
 
+# characters encoded and written at a time, so no whole artifact is encoded at once
+WRITE_CHARS = 1 << 20
+
 
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
@@ -54,7 +57,10 @@ def _write_text_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        # opened as Path.write_text opens it, so the bytes are the same
+        with tmp.open("w") as f:
+            for start in range(0, len(text), WRITE_CHARS):
+                f.write(text[start : start + WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -1,8 +1,11 @@
 """End-to-end wiring behind the CLI commands.
 
 Extraction describes windows a stack at a time into one :class:`FeatureTable`
-of labels, provenance and raw 256-bin histograms, one row per window. The
-feature dump stores it (one JSON object per line); evaluation fuses it.
+of labels, provenance and raw 256-bin histograms, one row per window. Each
+histogram column keeps non-negative integer counts below 2**32 in the
+narrowest unsigned type that holds its largest count (uint8, uint16 or
+uint32), and any other column as it is. The feature dump stores the table (one
+JSON object per line); evaluation fuses it.
 """
 
 from __future__ import annotations
@@ -27,15 +30,44 @@ from .transform2d import reshape
 CHUNK_SAMPLES = 1 << 15
 
 
+def _narrow(bins: np.ndarray) -> np.ndarray:
+    """Non-negative integer counts below 2**32 in the narrowest unsigned type.
+
+    Floats, negative counts, empty arrays and counts of 2**32 or more are
+    returned unchanged. The cap keeps every fused value bitwise the same: a row
+    of 256 narrowed counts sums to less than 2**40 in any integer type.
+    """
+    if bins.dtype.kind not in "iu" or not bins.size:
+        return bins
+    top = int(bins.max())
+    if top >= 1 << 32 or bins.min() < 0:
+        return bins
+    return bins.astype(np.min_scalar_type(top), copy=False)
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    """The rows of every part, in order; no parts give an empty int64 column."""
+    return np.concatenate(parts) if parts else np.empty((0, HISTOGRAM_BINS), dtype=np.int64)
+
+
 @dataclass
 class FeatureTable:
-    """Extracted windows as columns; ``lbp`` and ``wld`` are (W, 256) int64."""
+    """Extracted windows as columns; ``lbp`` and ``wld`` hold (W, 256) counts.
+
+    Each column is stored as :func:`_narrow` returns it, so the same counts get
+    the same dtype however the table was built: uint8 for 8x8 grids, whose 36
+    interior cells bound every count, and int64 for counts of 2**32 or more.
+    """
 
     label: list[str]
     source_id: list[str]
     onset_index: list[int]
     lbp: np.ndarray
     wld: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.lbp = _narrow(self.lbp)
+        self.wld = _narrow(self.wld)
 
     def __len__(self) -> int:
         return len(self.label)
@@ -63,9 +95,7 @@ def extract_records(
     ordered = sorted(signals, key=lambda s: (s.label, s.source_id))
     cut = ((s, w) for s in ordered for w in _extract_one(s, detector))
     step = max(1, CHUNK_SAMPLES // detector.window_len)
-    labels, sources, onsets = [], [], []
-    empty = np.empty((0, HISTOGRAM_BINS), dtype=np.int64)
-    lbp, wld = [empty], [empty]
+    labels, sources, onsets, lbp, wld = [], [], [], [], []
     while chunk := list(islice(cut, step)):
         try:
             matrices = reshape(np.stack([w.samples for _, w in chunk]))
@@ -76,11 +106,10 @@ def extract_records(
         labels += [s.label for s, _ in chunk]
         sources += [s.source_id for s, _ in chunk]
         onsets += [w.onset_index for _, w in chunk]
-        lbp.append(lbp_histogram(matrices).bins)
-        wld.append(wld_histogram(matrices, descriptor).bins)
-    lbp = np.concatenate(lbp)  # one at a time: only one descriptor's parts are copied at once
-    wld = np.concatenate(wld)
-    return FeatureTable(labels, sources, onsets, lbp, wld)
+        # narrowed per stack, so no column of the whole corpus is ever int64
+        lbp.append(_narrow(lbp_histogram(matrices).bins))
+        wld.append(_narrow(wld_histogram(matrices, descriptor).bins))
+    return FeatureTable(labels, sources, onsets, _stacked(lbp), _stacked(wld))
 
 
 def _decimal_table(top: int) -> np.ndarray:
@@ -148,32 +177,35 @@ def _parse_canonical(text: str) -> FeatureTable | None:
     """The table of a dump that ``records_to_jsonl`` writes byte for byte, else None.
 
     Each stack of lines is parsed loosely, then kept only if the writer turns
-    it back into exactly its text.
+    it back into exactly its text. The stacks' narrowed columns are joined at
+    the end, so no int64 column of the whole dump is built.
     """
-    labels, sources, onsets = [], [], []
-    lbp, wld = np.empty((2, _most_rows(text, text.count("\n")), HISTOGRAM_BINS), dtype=np.int64)
+    labels, sources, onsets, lbp, wld = [], [], [], [], []
     matches, start = _FIELDS.finditer(text), 0
     while fields := list(islice(matches, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS))):
-        rows = slice(len(labels), len(labels) + len(fields))
-        for group, out in ((2, lbp), (5, wld)):
+        columns = []
+        for group in (2, 5):
             joined = ",".join(f[group] for f in fields)
             # np.fromstring stops at an empty count
             counts = None if ",," in f",{joined}," else np.fromstring(joined, np.int64, sep=",")
             if counts is None or counts.size != len(fields) * HISTOGRAM_BINS:
                 return None
-            out[rows] = counts.reshape(len(fields), HISTOGRAM_BINS)
-        labels += [f[1] for f in fields]
-        sources += [f[4] for f in fields]
-        onsets += [int(f[3]) for f in fields]
-        stack = FeatureTable(labels[rows], sources[rows], onsets[rows], lbp[rows], wld[rows])
+            columns.append(counts.reshape(len(fields), HISTOGRAM_BINS))
+        provenance = ([f[1] for f in fields], [f[4] for f in fields], [int(f[3]) for f in fields])
+        stack = FeatureTable(*provenance, *columns)
         encoded, end = records_to_jsonl(stack), fields[-1].end()
         # compared in place, as a copy of the stack's text would raise the peak RSS
         if len(encoded) != end - start or not text.startswith(encoded, start):
             return None
+        labels += stack.label
+        sources += stack.source_id
+        onsets += stack.onset_index
+        lbp.append(stack.lbp)
+        wld.append(stack.wld)
         start = end
     if start != len(text):
         return None
-    return FeatureTable(labels, sources, onsets, lbp[: len(labels)], wld[: len(labels)])
+    return FeatureTable(labels, sources, onsets, _stacked(lbp), _stacked(wld))
 
 
 def load_records(path: str | Path) -> FeatureTable:
@@ -204,6 +236,8 @@ def _parse_lines(path: Path, text: str) -> FeatureTable:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedCsv(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past Python's limit on digits
+            raise MalformedCsv(f"{path}: line {lineno}: unreadable number: {exc}") from exc
         try:
             label, source, onset = obj["label"], obj["source_id"], obj["onset_index"]
             hist = {"lbp": np.asarray(obj["lbp"]), "wld": np.asarray(obj["wld"])}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import shutil
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from texture_nilm import (
     VoteWeighting,
     generate,
 )
-from texture_nilm.cli import main
+from texture_nilm.cli import _write_text_atomic, main
 from texture_nilm.config import (
     apply_overrides,
     config_fingerprint,
@@ -596,6 +597,33 @@ class TestEvalCommand:
         assert "(label 'right', source_id 'rec_4', onset 40)" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, digits", [('"onset_index":', "9" * 5000), ('"lbp":[', "9" * 5000 + ",")],
+        ids=["onset", "count"],
+    )
+    def test_integer_past_the_digit_limit_exits_3(self, tmp_path, capsys, field, digits):
+        # json.loads refuses integers of more than 4,300 digits with a plain ValueError
+        cfg = write_config(tmp_path / "c.json")
+        dump = tmp_path / "out" / "features.jsonl"
+        dump.parent.mkdir(parents=True)
+        record = {"label": "a", "lbp": [1] * 256, "onset_index": 0, "source_id": "s"}
+        line = json.dumps({**record, "wld": [1] * 256}, sort_keys=True, separators=(",", ":"))
+        dump.write_text(line.replace(field, field + digits, 1) + "\n")
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dump}: line 1: ") and "digits" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_report_is_the_same_with_and_without_a_dump(self, tmp_path):
+        # without a dump, eval fuses the narrowed counts extraction keeps in memory
+        cfg = write_config(tmp_path / "c.json")
+        report = tmp_path / "out" / "report.json"
+        assert main(["eval", "--config", str(cfg)]) == 0
+        extracted = report.read_bytes()
+        assert main(["extract", "--config", str(cfg)]) == 0
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert report.read_bytes() == extracted
+
     def test_non_utf8_dump_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         dump = tmp_path / "out" / "features.jsonl"
@@ -691,6 +719,24 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg), "--out", str(target)]) == 3
         assert not list(tmp_path.glob("report_dir.tmp"))
         assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_artifacts_are_written_a_slice_at_a_time(tmp_path):
+    # 16 MB of ASCII lines and a short last slice
+    text = "0123456789abcde\n" * 2**20 + "end\n"
+    expected = tmp_path / "expected.txt"
+    expected.write_text(text)
+    out = tmp_path / "out" / "written.txt"
+    tracemalloc.start()
+    try:
+        _write_text_atomic(out, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # encoding the whole text at once would take 16 MB
+    assert peak < 4 * 2**20
+    assert out.read_bytes() == expected.read_bytes()
+    assert list(out.parent.iterdir()) == [out]
 
 
 def _seeded_io(tmp_path, seed):

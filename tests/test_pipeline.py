@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texture_nilm import DescriptorConfig, EventDetectorConfig, SynthConfig, generate, pipeline
+from texture_nilm import (
+    DescriptorConfig,
+    EventDetectorConfig,
+    FusionStrategy,
+    SynthConfig,
+    generate,
+    pipeline,
+)
+from texture_nilm.fusion import fuse_rows
 from texture_nilm.pipeline import FeatureTable, extract_records, load_records, records_to_jsonl
 
 # the corpus conftest.write_config describes
@@ -56,7 +65,7 @@ def test_chunk_size_does_not_change_the_dump(monkeypatch):
         dumps.append(records_to_jsonl(table))
     assert len(table) % 3 != 0
     assert table.lbp.shape == table.wld.shape == (len(table), 256)
-    assert table.lbp.dtype == table.wld.dtype == np.int64
+    assert table.lbp.dtype == table.wld.dtype == np.uint8
     assert dumps[0] == dumps[1] == dumps[2] == jsonl_ref(table)
 
 
@@ -282,3 +291,117 @@ def test_canonical_dump_is_read_without_json_loads(monkeypatch, tmp_path):
     dump.write_text(records_to_jsonl(table).replace(",", ", ", 1))
     assert table_state(load_records(dump)) == table_state(table)
     assert len(calls) == len(table)
+
+
+# counts on each side of each width's limit, by the dtype they are stored in
+WIDTH_LIMITS = {
+    255: np.uint8,
+    256: np.uint16,
+    65535: np.uint16,
+    65536: np.uint32,
+    2**32 - 1: np.uint32,
+    2**32: np.int64,
+    2**63 - 1: np.int64,
+}
+
+
+@st.composite
+def int64_columns(draw):
+    """Two int64 count columns whose largest counts lie on width limits.
+
+    Some rows are all zero, so some fail to fuse.
+    """
+    n = draw(st.sampled_from([1, 2, STEP + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for top in draw(st.lists(st.sampled_from(sorted(WIDTH_LIMITS)), min_size=2, max_size=2)):
+        counts = rng.integers(0, 40, (n, 256)) * (rng.random((n, 256)) < 0.3)
+        counts[rng.random(n) < 0.1] = 0
+        counts[rng.random((n, 256)) < 0.01] = top
+        counts[rng.integers(0, n), rng.integers(0, 256)] = top
+        columns.append(counts)
+    return columns
+
+
+def fuse_outcome(lbp, wld, strategy):
+    try:
+        return fuse_rows(lbp, wld, strategy).tobytes()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int64_columns())
+def test_narrowing_changes_no_value(columns):
+    lbp, wld = columns
+    labels, sources, onsets = ["c"] * len(lbp), ["s"] * len(lbp), list(range(len(lbp)))
+    table = FeatureTable(labels, sources, onsets, lbp, wld)
+    for wide, narrow in zip(columns, (table.lbp, table.wld)):
+        assert narrow.dtype == WIDTH_LIMITS[int(wide.max())]
+        assert np.array_equal(narrow, wide)
+    wide = SimpleNamespace(label=labels, source_id=sources, onset_index=onsets, lbp=lbp, wld=wld)
+    assert records_to_jsonl(table) == jsonl_ref(wide)
+    for strategy in FusionStrategy:
+        assert fuse_outcome(table.lbp, table.wld, strategy) == fuse_outcome(lbp, wld, strategy)
+
+
+@pytest.mark.parametrize(
+    "bins",
+    [
+        np.ones((2, 256)),
+        np.full((2, 256), -1, dtype=np.int64),
+        np.zeros((0, 256), dtype=np.int64),
+        np.zeros((0, 256), dtype=np.uint16),
+        np.full((2, 256), 2**32, dtype=np.int64),
+        np.full((2, 256), 2**32, dtype=np.uint64),
+    ],
+    ids=["float", "negative", "empty", "empty_uint16", "2**32", "2**32_uint64"],
+)
+def test_narrow_keeps_what_it_cannot_narrow(bins):
+    assert pipeline._narrow(bins) is bins
+    assert FeatureTable([], [], [], bins, bins).lbp is bins
+
+
+# a corpus of about 1,600 windows of 8x8 grids (36 interior cells)
+DENSE_SYNTH = SynthConfig(
+    classes=(
+        "square_wave", "staircase", "spike_decay", "sinusoid", "constant_drift", "duty_cycled"
+    ),
+    signals_per_class=10,
+    signal_len=4096,
+    noise_sigma=3.0,
+    seed=5,
+)
+DENSE_DETECTOR = EventDetectorConfig(window_len=64)
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of memory it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extraction_keeps_one_byte_per_count():
+    extract = partial(extract_records, generate(DENSE_SYNTH), DENSE_DETECTOR, DescriptorConfig())
+    table, peak = traced_peak(extract)
+    assert len(table) > 1500
+    assert table.lbp.nbytes + table.wld.nbytes == len(table) * 512
+    # measured 3.8 MB; two int64 columns alone would take 6.6 MB, and building
+    # them from int64 stacks peaked at 9.7 MB
+    assert peak < 6 * 2**20
+
+
+def test_canonical_dump_is_read_into_narrow_columns(tmp_path, monkeypatch):
+    table = extract_records(generate(DENSE_SYNTH), DENSE_DETECTOR, DescriptorConfig())
+    dump = tmp_path / "features.jsonl"
+    dump.write_text(records_to_jsonl(table))
+    monkeypatch.setattr(pipeline.json, "loads", mock.Mock(side_effect=AssertionError("slow path")))
+    loaded, peak = traced_peak(partial(load_records, dump))
+    assert table_state(loaded) == table_state(table)
+    # measured 4.0 MB, with the dump's 1.7 MB text; preallocated int64 columns
+    # peaked at 9.2 MB
+    assert peak < 6 * 2**20
