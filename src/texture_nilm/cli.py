@@ -78,7 +78,7 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
         k=getattr(args, "k", None),
         metric=getattr(args, "metric", None),
         folds=getattr(args, "folds", None),
-        seed=getattr(args, "seed", None),
+        seed=args.seed,
     )
 
 
@@ -155,7 +155,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _err("no events detected in any signal")
         return EXIT_NO_EVENTS
 
-    run_all = getattr(args, "strategy", None) == "all"
+    run_all = args.strategy == "all"
     strategies = (
         list(FusionStrategy) if run_all else [cfg.fusion_strategy]
     )
@@ -256,16 +256,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="pipeline config JSON")
     sub.add_argument("--out", help="override the command's output path")
-    sub.add_argument(
-        "--strategy",
-        choices=STRATEGY_NAMES + ["all"],
-        help="fusion strategy override ('all' evaluates every strategy)",
-    )
-    sub.add_argument("--k", type=int, help="neighbor count override")
-    sub.add_argument(
-        "--metric", choices=["euclidean", "cosine"], help="distance metric override"
-    )
-    sub.add_argument("--folds", type=int, help="cross-validation fold override")
     sub.add_argument("--seed", type=int, help="seed override (eval and synth)")
 
 
@@ -288,6 +278,16 @@ def _parser() -> argparse.ArgumentParser:
 
     evaluate = subs.add_parser("eval", help="cross-validate and write a report")
     _add_common(evaluate)
+    evaluate.add_argument(
+        "--strategy",
+        choices=STRATEGY_NAMES + ["all"],
+        help="fusion strategy override ('all' evaluates every strategy)",
+    )
+    evaluate.add_argument("--k", type=int, help="neighbor count override")
+    evaluate.add_argument(
+        "--metric", choices=["euclidean", "cosine"], help="distance metric override"
+    )
+    evaluate.add_argument("--folds", type=int, help="cross-validation fold override")
     evaluate.set_defaults(func=cmd_eval)
 
     report = subs.add_parser("report", help="pretty-print a report JSON")

@@ -80,7 +80,7 @@ def stratified_folds(
     """
     n = len(ds)
     rng = np.random.default_rng(cfg.seed)
-    test_sets: list[list[int]] = [[] for _ in range(cfg.folds)]
+    fold_of = np.empty(n, dtype=np.int64)
     if cfg.stratified:
         labels = np.asarray(ds.labels)
         for label in sorted(set(ds.labels)):
@@ -90,24 +90,18 @@ def stratified_folds(
                     f"class {label!r} has {members.size} items, "
                     f"fewer than {cfg.folds} folds"
                 )
-            dealt = rng.permutation(members)
-            for f in range(cfg.folds):
-                test_sets[f].extend(int(i) for i in dealt[f :: cfg.folds])
+            fold_of[rng.permutation(members)] = np.arange(members.size) % cfg.folds
     else:
         if n < cfg.folds:
             raise TooFewSamplesPerClass(
                 f"dataset has {n} items, fewer than {cfg.folds} folds"
             )
         for f, chunk in enumerate(np.array_split(rng.permutation(n), cfg.folds)):
-            test_sets[f].extend(int(i) for i in chunk)
-
-    out = []
-    everything = np.arange(n)
-    for members in test_sets:
-        test = np.sort(np.asarray(members, dtype=np.int64))
-        train = np.setdiff1d(everything, test, assume_unique=True)
-        out.append((train, test))
-    return out
+            fold_of[chunk] = f
+    return [
+        (np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+        for f in range(cfg.folds)
+    ]
 
 
 def macro_f1(confusion: np.ndarray) -> float:

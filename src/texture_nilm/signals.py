@@ -41,28 +41,18 @@ class PowerSignal:
         return int(self.samples.size)
 
 
-@dataclass
+@dataclass(slots=True)
 class EventWindow:
     """Fixed-length slice of a repaired signal starting at a detected onset.
 
     ``pad_count`` trailing samples are copies of the last observed sample,
-    used when the parent signal ends before the window is full.
+    used when the parent signal ends before the window is full. Built only by
+    :func:`detect_events`, whose onsets keep ``0 <= pad_count < window_len``.
     """
 
     samples: np.ndarray
     onset_index: int
-    label: str
-    pad_count: int = 0
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ValueError("window samples must be a non-empty 1D sequence")
-        if not 0 <= self.pad_count < self.samples.size:
-            raise ValueError("pad_count must satisfy 0 <= pad_count < window length")
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
+    pad_count: int
 
 
 @dataclass(frozen=True)
@@ -166,7 +156,4 @@ def detect_events(signal: PowerSignal, cfg: EventDetectorConfig) -> list[EventWi
     # every window in one gather from x followed by length - 1 copies of its last sample
     padded = np.concatenate((x, np.full(length - 1, x[n - 1])))
     cut = np.lib.stride_tricks.sliding_window_view(padded, length)[onsets]
-    return [
-        EventWindow(samples, onset, signal.label, max(0, onset + length - n))
-        for samples, onset in zip(cut, onsets)
-    ]
+    return [EventWindow(row, onset, max(0, onset + length - n)) for row, onset in zip(cut, onsets)]

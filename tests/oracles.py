@@ -4,12 +4,13 @@ Everything in this module is deliberately scalar, loop-based and written
 directly from the operation definitions, so the vectorized production code
 can be cross-checked against a second, independent path. Keep it dumb.
 
-Eight functions are frozen copies of original production code rather than
+Nine functions are frozen copies of original production code rather than
 independent derivations: :func:`knn_predict_exact_ref` (the per-query
 classifier scan), :func:`fuse_ref` (the one-window histogram fusion),
 :func:`load_csv_ref` (the row-by-row CSV reader), :func:`write_corpus_ref`
 (the per-row corpus writer), :func:`detect_events_ref` (the per-run,
-per-window event detector), and :func:`config_to_dict_ref`,
+per-window event detector), :func:`stratified_folds_ref` (the per-fold
+index lists), and :func:`config_to_dict_ref`,
 :func:`report_to_dict_ref` and :func:`default_fingerprint_ref` (the config
 and report dicts written out field by field). They pin outputs bit for bit,
 and error messages too, where the scalar oracles only pin the definitions.
@@ -33,8 +34,9 @@ from texture_nilm.errors import (
     EmptyHistogram,
     MalformedCsv,
     NonMonotoneTimestamps,
+    TooFewSamplesPerClass,
 )
-from texture_nilm.signals import EventWindow, PowerSignal
+from texture_nilm.signals import PowerSignal
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -107,7 +109,9 @@ def detect_onsets_ref(values, delta, steady, window_len):
 
 def detect_events_ref(signal, cfg):
     """Frozen from the original detect_events: one argmax per run of
-    super-threshold scores and one slice per window."""
+    super-threshold scores and one slice per window.
+
+    Returns one plain ``(samples, onset, pad_count)`` tuple per window."""
     x = signal.samples
     w = cfg.steady_len
     length = cfg.window_len
@@ -145,7 +149,7 @@ def detect_events_ref(signal, cfg):
         samples = np.empty(length, dtype=np.float64)
         samples[:observed] = x[onset : onset + observed]
         samples[observed:] = x[n - 1]
-        windows.append(EventWindow(samples, onset, signal.label, length - observed))
+        windows.append((samples, onset, length - observed))
     return windows
 
 
@@ -288,6 +292,41 @@ def fuse_ref(lbp_bins, wld_bins, strategy):
                 "histograms have disjoint support; their product is all-zero"
             )
     return v / v.sum()
+
+
+def stratified_folds_ref(ds, cfg):
+    """Frozen from the original stratified_folds: per-fold index lists,
+    sorted, with each train set the complement of its test set."""
+    n = len(ds)
+    rng = np.random.default_rng(cfg.seed)
+    test_sets = [[] for _ in range(cfg.folds)]
+    if cfg.stratified:
+        labels = np.asarray(ds.labels)
+        for label in sorted(set(ds.labels)):
+            members = np.flatnonzero(labels == label)
+            if members.size < cfg.folds:
+                raise TooFewSamplesPerClass(
+                    f"class {label!r} has {members.size} items, "
+                    f"fewer than {cfg.folds} folds"
+                )
+            dealt = rng.permutation(members)
+            for f in range(cfg.folds):
+                test_sets[f].extend(int(i) for i in dealt[f :: cfg.folds])
+    else:
+        if n < cfg.folds:
+            raise TooFewSamplesPerClass(
+                f"dataset has {n} items, fewer than {cfg.folds} folds"
+            )
+        for f, chunk in enumerate(np.array_split(rng.permutation(n), cfg.folds)):
+            test_sets[f].extend(int(i) for i in chunk)
+
+    out = []
+    everything = np.arange(n)
+    for members in test_sets:
+        test = np.sort(np.asarray(members, dtype=np.int64))
+        train = np.setdiff1d(everything, test, assume_unique=True)
+        out.append((train, test))
+    return out
 
 
 def macro_f1_ref(confusion):

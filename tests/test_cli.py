@@ -236,6 +236,18 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", classifier={"k": 1})
         assert main(["eval", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command", ["synth", "extract"])
+    @pytest.mark.parametrize(
+        "flag", [["--strategy", "sum"], ["--k", "5"], ["--metric", "cosine"], ["--folds", "3"]]
+    )
+    def test_eval_only_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

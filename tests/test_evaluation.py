@@ -11,6 +11,7 @@ from oracles import (
     knn_predict_exact_ref,
     macro_f1_ref,
     report_to_dict_ref,
+    stratified_folds_ref,
 )
 from texture_nilm import (
     DescriptorConfig,
@@ -116,6 +117,30 @@ class TestStratifiedFolds:
         for train, test in parts:
             assert np.intersect1d(train, test).size == 0
             assert train.size + test.size == len(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcd"), min_size=2, max_size=60),
+        st.integers(2, 6),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+    )
+    def test_matches_frozen_fold_lists(self, labels, folds, seed, stratified):
+        ds = dataset(labels)
+        cfg = EvalConfig(folds=folds, seed=seed, stratified=stratified)
+        try:
+            expected = stratified_folds_ref(ds, cfg)
+        except TooFewSamplesPerClass as exc:
+            with pytest.raises(TooFewSamplesPerClass) as caught:
+                stratified_folds(ds, cfg)
+            assert str(caught.value) == str(exc)
+            return
+        got = stratified_folds(ds, cfg)
+        assert len(got) == len(expected)
+        for (train, test), (train_ref, test_ref) in zip(got, expected):
+            assert (train.dtype, test.dtype) == (train_ref.dtype, test_ref.dtype)
+            assert np.array_equal(train, train_ref)
+            assert np.array_equal(test, test_ref)
 
 
 class TestMacroF1:

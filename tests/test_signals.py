@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import detect_events_ref, detect_onsets_ref, impute_ref
 from texture_nilm import (
     EventDetectorConfig,
-    EventWindow,
     PowerSignal,
     detect_events,
     impute_zeros,
@@ -87,14 +86,6 @@ class TestImputeZeros:
                 assert repaired[i] > 0
 
 
-class TestEventWindow:
-    def test_pad_count_bounds(self):
-        with pytest.raises(ValueError):
-            EventWindow(np.ones(4), 0, "dev", pad_count=4)
-        with pytest.raises(ValueError):
-            EventWindow(np.ones(4), 0, "dev", pad_count=-1)
-
-
 class TestEventDetectorConfig:
     def test_defaults(self):
         cfg = EventDetectorConfig()
@@ -129,7 +120,7 @@ class TestDetectEvents:
         x = sig([1.0] * 40 + [200.0] * 60)
         windows = detect_events(x, self.CFG)
         assert [w.onset_index for w in windows] == [40]
-        assert len(windows[0]) == 16
+        assert windows[0].samples.size == 16
         assert windows[0].pad_count == 0
         assert windows[0].samples.tolist() == [200.0] * 16
 
@@ -151,15 +142,11 @@ class TestDetectEvents:
         (window,) = detect_events(x, self.CFG)
         assert window.onset_index == 40
         assert window.pad_count == 6
-        assert len(window) == 16
+        assert window.samples.size == 16
         assert window.samples[10:].tolist() == [200.0] * 6
 
     def test_signal_shorter_than_two_steady_runs(self):
         assert detect_events(sig([1.0, 500.0]), self.CFG) == []
-
-    def test_label_inherited(self):
-        x = sig([1.0] * 40 + [200.0] * 60, label="kettle")
-        assert detect_events(x, self.CFG)[0].label == "kettle"
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -179,7 +166,7 @@ class TestDetectEvents:
         expected = detect_onsets_ref(signal.samples.tolist(), 30.5, 4, 16)
         assert [w.onset_index for w in got] == expected
         for w in got:
-            assert len(w) == cfg.window_len
+            assert w.samples.size == cfg.window_len
 
 
 @st.composite
@@ -228,10 +215,22 @@ class TestDetectEventsParity:
     @example(two_steps(17))
     def test_matches_frozen_detector(self, case):
         values, cfg = case
-        signal = sig(values, label="kettle")
+        signal = sig(values)
         got = detect_events(signal, cfg)
         expected = detect_events_ref(signal, cfg)
-        assert [(w.onset_index, w.pad_count, w.label) for w in got] == [
-            (w.onset_index, w.pad_count, w.label) for w in expected
+        assert [(w.onset_index, w.pad_count) for w in got] == [
+            (onset, pad_count) for _, onset, pad_count in expected
         ]
-        assert [w.samples.tobytes() for w in got] == [w.samples.tobytes() for w in expected]
+        assert [w.samples.tobytes() for w in got] == [s.tobytes() for s, _, _ in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(stepped_signals())
+    def test_windows_are_padded_slices_of_the_signal(self, case):
+        values, cfg = case
+        length = cfg.window_len
+        for w in detect_events(sig(values), cfg):
+            assert 0 <= w.pad_count < length
+            assert w.pad_count == max(0, w.onset_index + length - len(values))
+            assert w.samples.shape == (length,)
+            tail = values[w.onset_index :]
+            assert w.samples.tolist() == (tail + [values[-1]] * length)[:length]
