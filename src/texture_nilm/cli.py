@@ -82,16 +82,9 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _corpus_root(cfg: PipelineConfig) -> Path:
-    return Path(cfg.io.output) / "corpus"
-
-
 def _resolve_signals(cfg: PipelineConfig):
     if cfg.io.input_root is not None:
         return load_dataset(cfg.io.input_root, cfg.io.sampling_rate_hz)
-    corpus = _corpus_root(cfg)
-    if corpus.is_dir():
-        return load_dataset(corpus, cfg.io.sampling_rate_hz)
     return generate(cfg.io.synth)
 
 
@@ -99,7 +92,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     if cfg.io.synth is None:
         raise InvalidConfig("synth requires an io.synth block")
-    out_root = Path(args.out) if args.out else _corpus_root(cfg)
+    out_root = Path(args.out) if args.out else Path(cfg.io.output) / "corpus"
     counts = write_corpus(generate(cfg.io.synth), out_root)
     for label in sorted(counts):
         print(f"class={label} files={counts[label]}")
@@ -156,56 +149,40 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_NO_EVENTS
 
     run_all = args.strategy == "all"
-    strategies = (
-        list(FusionStrategy) if run_all else [cfg.fusion_strategy]
-    )
-    reports: dict[str, tuple[PipelineConfig, EvalReport]] = {}
+    strategies = list(FusionStrategy) if run_all else [cfg.fusion_strategy]
+    docs, lines = {}, []
+    rows = ["strategy,fold,accuracy,macro_f1"] if run_all else []
     for strategy in strategies:
         cfg_s = dataclasses.replace(cfg, fusion_strategy=strategy)
         dataset = dataset_from_records(records, strategy)
         report = run_eval(dataset, cfg_s.knn, cfg_s.eval, config_fingerprint(cfg_s))
-        reports[strategy.value] = (cfg_s, report)
+        name = strategy.value
+        docs[name] = _single_report_doc(cfg_s, report)
+        csv_rows = report.to_csv_rows()
+        rows += [f"{name},{row}" for row in csv_rows[1:]] if run_all else csv_rows
+        prefix = f"{name}: " if run_all else ""
+        lines.append(f"{prefix}accuracy={report.mean_accuracy!r} macro_f1={report.mean_macro_f1!r}")
 
     if run_all:
-        accuracies = {name: rep.mean_accuracy for name, (_, rep) in reports.items()}
-        ordering = _ordering_section(accuracies)
+        ordering = _ordering_section({name: d["mean_accuracy"] for name, d in docs.items()})
         doc = {
             "tool_version": __version__,
             "config": config_to_dict(cfg),
-            "strategies": {
-                name: _single_report_doc(cfg_s, rep)
-                for name, (cfg_s, rep) in reports.items()
-            },
+            "strategies": docs,
             "ordering": ordering,
         }
+        if ordering["confirmed"]:
+            lines.append("ordering confirmed: sum >= concat >= mult")
+        else:
+            lines.append(f"ordering deviation: {ordering['deviation']}")
     else:
-        cfg_s, report = reports[cfg.fusion_strategy.value]
-        doc = _single_report_doc(cfg_s, report)
+        doc = docs[cfg.fusion_strategy.value]
 
     out = Path(args.out) if args.out else Path(cfg.io.output) / "report.json"
     _write_text_atomic(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
     if cfg.io.report_csv:
-        rows = []
-        if run_all:
-            rows.append("strategy,fold,accuracy,macro_f1")
-            for name, (_, rep) in reports.items():
-                rows += [f"{name},{line}" for line in rep.to_csv_rows()[1:]]
-        else:
-            rows = reports[cfg.fusion_strategy.value][1].to_csv_rows()
         _write_text_atomic(Path(cfg.io.report_csv), "\n".join(rows) + "\n")
-
-    if run_all:
-        for name in STRATEGY_NAMES:
-            rep = reports[name][1]
-            print(f"{name}: accuracy={rep.mean_accuracy!r} macro_f1={rep.mean_macro_f1!r}")
-        if ordering["confirmed"]:
-            print("ordering confirmed: sum >= concat >= mult")
-        else:
-            print(f"ordering deviation: {ordering['deviation']}")
-    else:
-        report = reports[cfg.fusion_strategy.value][1]
-        print(f"accuracy={report.mean_accuracy!r} macro_f1={report.mean_macro_f1!r}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -326,10 +326,14 @@ class TestExtractCommand:
         cfg = write_config(tmp_path / "c.json")
         inline = tmp_path / "inline.jsonl"
         assert main(["extract", "--config", str(cfg), "--out", str(inline)]) == 0
-        # materialize the corpus, then extract again from disk
+        # materialize the corpus, then extract again from disk through input_root
         assert main(["synth", "--config", str(cfg)]) == 0
+        disk_cfg = write_config(
+            tmp_path / "disk.json",
+            io={"output": str(tmp_path / "out"), "input_root": str(tmp_path / "out" / "corpus")},
+        )
         from_disk = tmp_path / "disk.jsonl"
-        assert main(["extract", "--config", str(cfg), "--out", str(from_disk)]) == 0
+        assert main(["extract", "--config", str(disk_cfg), "--out", str(from_disk)]) == 0
         assert sha(inline) == sha(from_disk)
 
     def test_no_events_exits_4(self, tmp_path, capsys):
@@ -413,7 +417,92 @@ class TestExtractCommand:
         assert dumps[0] and dumps[1] == dumps[0]
 
 
+class TestSignalSource:
+    """A synth config generates its signals; out/corpus/ is only synth's export."""
+
+    def test_corpus_of_another_seed_is_not_read(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        inline = tmp_path / "inline.jsonl"
+        assert main(["extract", "--config", str(cfg), "--out", str(inline)]) == 0
+        assert main(["synth", "--config", str(cfg), "--seed", "5"]) == 0
+        assert main(["extract", "--config", str(cfg)]) == 0
+        assert sha(tmp_path / "out" / "features.jsonl") == sha(inline)
+        seeded = tmp_path / "seed5.jsonl"
+        assert main(["extract", "--config", str(cfg), "--seed", "5", "--out", str(seeded)]) == 0
+        assert sha(seeded) != sha(inline)
+
+    def test_malformed_corpus_is_not_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert main(["extract", "--config", str(cfg)]) == 0
+        want = (sha(out / "report.json"), sha(out / "features.jsonl"))
+        shutil.rmtree(out)
+        bad = out / "corpus" / "box_a" / "bad.csv"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("timestamp,power_w\n0,not a number\n")
+        capsys.readouterr()
+        # eval before extract, so it extracts rather than reading the dump
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert main(["extract", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (sha(out / "report.json"), sha(out / "features.jsonl")) == want
+
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    def test_synth_config_never_loads_a_dataset(self, tmp_path, monkeypatch, command):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["synth", "--config", str(cfg)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_dataset called on a synth config")
+
+        monkeypatch.setattr("texture_nilm.cli.load_dataset", refuse)
+        assert main([command, "--config", str(cfg)]) == 0
+
+
+# stdout, report.json and io.report_csv SHA-256 of eval on the _seeded_io
+# corpus of each synth seed, as commit 6fa6cab wrote them
+EVAL_OUTPUTS = {
+    (11, "all"): (
+        "sum: accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n"
+        "concat: accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n"
+        "mult: accuracy=0.5952380952380952 macro_f1=0.5618165784832451\n"
+        "ordering confirmed: sum >= concat >= mult\n",
+        "31c3209f32080236c2c770db1b228aa463ba07fe637741a8f9a8966ab0aabf04",
+        "48ee38ac48b592ac5b4647dd8abd728e52c1abb95a005f48f2a770d575d7447e",
+    ),
+    (11, "concat"): (
+        "accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n",
+        "750fd390ccc090f504e1774062ada6e164e48f69540c711ca4fb09d1f9cebaa4",
+        "90ef0646d7d9f0518dd7dff5b058d6226596a19a63377325666c4ef1b94990e3",
+    ),
+    (13, "all"): (
+        "sum: accuracy=0.825 macro_f1=0.8163860830527497\n"
+        "concat: accuracy=0.85 macro_f1=0.845630912297579\n"
+        "mult: accuracy=0.7 macro_f1=0.6869809203142535\n"
+        "ordering deviation: expected sum >= concat >= mult; "
+        "observed sum=0.825 concat=0.85 mult=0.7\n",
+        "a1f24b6e4675ac0580e63cad7ff85aea2898cea64d9364964310a5756cace4e4",
+        "8186f358d2286d92e4cd7018c24685d18f278e616ac4c6d24001fc7fae5d3227",
+    ),
+}
+
+
 class TestEvalCommand:
+    @pytest.mark.parametrize("seed, strategy", sorted(EVAL_OUTPUTS))
+    def test_eval_outputs_are_pinned(self, tmp_path, monkeypatch, capsys, seed, strategy):
+        monkeypatch.chdir(tmp_path)
+        io = {**_seeded_io(tmp_path, seed), "output": "out", "report_csv": "out/folds.csv"}
+        cfg = write_config(tmp_path / "c.json", io=io)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--strategy", strategy]) == 0
+        got = (
+            capsys.readouterr().out,
+            sha(tmp_path / "out" / "report.json"),
+            sha(tmp_path / "out" / "folds.csv"),
+        )
+        assert got == EVAL_OUTPUTS[seed, strategy]
+
     def test_writes_report_and_prints_metrics(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["eval", "--config", str(cfg)]) == 0

@@ -280,8 +280,8 @@ os.fork = counting_fork
 a = np.ones((300, 300))
 a @ a
 before = threads()
-for command in ("synth", "extract"):
-    assert main([command, "--config", sys.argv[1]]) == 0
+for command, config in (("synth", sys.argv[1]), ("extract", sys.argv[2])):
+    assert main([command, "--config", config]) == 0
 print(before, *after_fork)
 """
 
@@ -299,8 +299,13 @@ def test_workers_are_forked_from_a_single_threaded_process(tmp_path):
         "noise_sigma": 2.0,
         "seed": 7,
     }
-    cfg = write_config(tmp_path / "c.json", io={"output": str(tmp_path / "out"), "synth": synth})
-    out, err = run_python(FORK_THREADS, cfg).communicate(timeout=120)
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", io={"output": str(out_dir), "synth": synth})
+    # extract reads the written corpus back, so it forks CSV readers
+    read_cfg = write_config(
+        tmp_path / "read.json", io={"output": str(out_dir), "input_root": str(out_dir / "corpus")}
+    )
+    out, err = run_python(FORK_THREADS, cfg, read_cfg).communicate(timeout=120)
     before, *after_fork = map(int, out.splitlines()[-1].split())
     # two workers for synth and two for extract
     assert after_fork == [1, 1, 1, 1], (before, after_fork, err)
