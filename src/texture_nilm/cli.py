@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -32,6 +33,7 @@ from .errors import InvalidConfig, MalformedCsv, PipelineError
 from .evaluation import EvalReport, run_eval
 from .fusion import FusionStrategy
 from .pipeline import (
+    FeatureTable,
     dataset_from_records,
     extract_records,
     load_records,
@@ -53,18 +55,24 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_file(path: Path):
+    """A text file that replaces ``path`` if the block succeeds, else is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         # opened as Path.write_text opens it, so the bytes are the same
         with tmp.open("w") as f:
-            for start in range(0, len(text), WRITE_CHARS):
-                f.write(text[start : start + WRITE_CHARS])
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_text_atomic(path: Path, text: str) -> None:
+    with _atomic_file(path) as f:
+        f.writelines(text[i : i + WRITE_CHARS] for i in range(0, len(text), WRITE_CHARS))
 
 
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
@@ -102,16 +110,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    records = extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor)
-    if not records:
+    stacks = extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor)
+    if not stacks:
         _err("no events detected in any signal")
         return EXIT_NO_EVENTS
     out = Path(args.out) if args.out else Path(cfg.io.output) / "features.jsonl"
-    _write_text_atomic(out, records_to_jsonl(records))
-    counts = Counter(records.label)
+    with _atomic_file(out) as f:
+        f.writelines(records_to_jsonl(stack) for stack in stacks)
+    counts = Counter(label for stack in stacks for label in stack.label)
     for label in sorted(counts):
         print(f"class={label} windows={counts[label]}")
-    print(f"total={len(records)} dump={out}")
+    print(f"total={counts.total()} dump={out}")
     return EXIT_OK
 
 
@@ -119,7 +128,7 @@ def _records_for_eval(cfg: PipelineConfig):
     dump = Path(cfg.io.output) / "features.jsonl"
     if dump.is_file():
         return load_records(dump)
-    return extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor)
+    return FeatureTable.joined(extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor))
 
 
 def _single_report_doc(cfg: PipelineConfig, report: EvalReport) -> dict:

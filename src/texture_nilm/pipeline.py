@@ -1,11 +1,11 @@
 """End-to-end wiring behind the CLI commands.
 
 Extraction describes windows a stack at a time into one :class:`FeatureTable`
-of labels, provenance and raw 256-bin histograms, one row per window. Each
-histogram column keeps non-negative integer counts below 2**32 in the
-narrowest unsigned type that holds its largest count (uint8, uint16 or
-uint32), and any other column as it is. The feature dump stores the table (one
-JSON object per line); evaluation fuses it.
+per stack, of labels, provenance and raw 256-bin histograms, one row per window.
+Each histogram column keeps non-negative integer counts below 2**32 in the
+narrowest unsigned type that holds its largest count (uint8, uint16 or uint32),
+and any other column as it is. The feature dump stores the stacks one after
+another (one JSON object per line); evaluation fuses them joined into one table.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ def _narrow(bins: np.ndarray) -> np.ndarray:
     return bins.astype(np.min_scalar_type(top), copy=False)
 
 
-def _stacked(parts: list[np.ndarray]) -> np.ndarray:
-    """The rows of every part, in order; no parts give an empty int64 column."""
-    return np.concatenate(parts) if parts else np.empty((0, HISTOGRAM_BINS), dtype=np.int64)
-
-
 @dataclass
 class FeatureTable:
     """Extracted windows as columns; ``lbp`` and ``wld`` hold (W, 256) counts.
@@ -72,6 +67,18 @@ class FeatureTable:
     def __len__(self) -> int:
         return len(self.label)
 
+    @classmethod
+    def joined(cls, stacks: list[FeatureTable]) -> FeatureTable:
+        """The rows of every stack, in order; no stacks give empty int64 columns."""
+        empty = np.empty((0, HISTOGRAM_BINS), dtype=np.int64)
+        return cls(
+            [label for t in stacks for label in t.label],
+            [source for t in stacks for source in t.source_id],
+            [onset for t in stacks for onset in t.onset_index],
+            np.concatenate([t.lbp for t in stacks]) if stacks else empty,
+            np.concatenate([t.wld for t in stacks]) if stacks else empty,
+        )
+
 
 def _where(label: str, source_id: str, onset: int) -> str:
     return f"label {label!r}, source_id {source_id!r}, onset {onset}"
@@ -85,31 +92,32 @@ def extract_records(
     signals: list[PowerSignal],
     detector: EventDetectorConfig,
     descriptor: DescriptorConfig,
-) -> FeatureTable:
+) -> list[FeatureTable]:
     """Run repair, event detection and both descriptors over a corpus.
 
-    Signals are processed in (label, source_id) order and their windows kept
-    in onset order, so the output does not depend on the order of ``signals``.
-    The first window whose range overflows float64 raises RangeOverflow.
+    One table per stack of ``CHUNK_SAMPLES // window_len`` windows (the last may
+    be short), with signals in (label, source_id) order and their windows in
+    onset order, so the output does not depend on the order of ``signals``. The
+    first window whose range overflows float64 raises RangeOverflow.
     """
     ordered = sorted(signals, key=lambda s: (s.label, s.source_id))
     cut = ((s, w) for s in ordered for w in _extract_one(s, detector))
     step = max(1, CHUNK_SAMPLES // detector.window_len)
-    labels, sources, onsets, lbp, wld = [], [], [], [], []
+    stacks = []
     while chunk := list(islice(cut, step)):
         try:
             matrices = reshape(np.stack([w.samples for _, w in chunk]))
         except RangeOverflow as exc:
             s, w = chunk[exc.row]
             where = _where(s.label, s.source_id, w.onset_index)
-            raise RangeOverflow(f"{exc} ({where})", len(labels) + exc.row) from None
-        labels += [s.label for s, _ in chunk]
-        sources += [s.source_id for s, _ in chunk]
-        onsets += [w.onset_index for _, w in chunk]
-        # narrowed per stack, so no column of the whole corpus is ever int64
-        lbp.append(_narrow(lbp_histogram(matrices).bins))
-        wld.append(_narrow(wld_histogram(matrices, descriptor).bins))
-    return FeatureTable(labels, sources, onsets, _stacked(lbp), _stacked(wld))
+            raise RangeOverflow(f"{exc} ({where})", len(stacks) * step + exc.row) from None
+        provenance = [s.label for s, _ in chunk], [s.source_id for s, _ in chunk]
+        onsets = [w.onset_index for _, w in chunk]
+        # narrowed here, so each int64 column is freed before the next histogram is computed
+        lbp = _narrow(lbp_histogram(matrices).bins)
+        wld = _narrow(wld_histogram(matrices, descriptor).bins)
+        stacks.append(FeatureTable(*provenance, onsets, lbp, wld))
+    return stacks
 
 
 def _decimal_table(top: int) -> np.ndarray:
@@ -168,19 +176,14 @@ _FIELDS = re.compile(
 )
 
 
-def _most_rows(text: str, lines: int) -> int:
-    # a record's two histograms of 256 counts take more than 4 characters a bin
-    return min(lines, len(text) // (4 * HISTOGRAM_BINS)) + 1
-
-
 def _parse_canonical(text: str) -> FeatureTable | None:
     """The table of a dump that ``records_to_jsonl`` writes byte for byte, else None.
 
     Each stack of lines is parsed loosely, then kept only if the writer turns
-    it back into exactly its text. The stacks' narrowed columns are joined at
+    it back into exactly its text. The stacks' narrowed tables are joined at
     the end, so no int64 column of the whole dump is built.
     """
-    labels, sources, onsets, lbp, wld = [], [], [], [], []
+    stacks = []
     matches, start = _FIELDS.finditer(text), 0
     while fields := list(islice(matches, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS))):
         columns = []
@@ -197,15 +200,11 @@ def _parse_canonical(text: str) -> FeatureTable | None:
         # compared in place, as a copy of the stack's text would raise the peak RSS
         if len(encoded) != end - start or not text.startswith(encoded, start):
             return None
-        labels += stack.label
-        sources += stack.source_id
-        onsets += stack.onset_index
-        lbp.append(stack.lbp)
-        wld.append(stack.wld)
+        stacks.append(stack)
         start = end
     if start != len(text):
         return None
-    return FeatureTable(labels, sources, onsets, _stacked(lbp), _stacked(wld))
+    return FeatureTable.joined(stacks)
 
 
 def load_records(path: str | Path) -> FeatureTable:
@@ -228,7 +227,9 @@ def _parse_lines(path: Path, text: str) -> FeatureTable:
     """Parse any dump one ``json.loads`` per line, validating every record."""
     lines = text.splitlines()
     labels, sources, onsets = [], [], []
-    lbp, wld = np.empty((2, _most_rows(text, len(lines)), HISTOGRAM_BINS), dtype=np.int64)
+    # a record's two histograms of 256 counts take more than 4 characters a bin
+    most = min(len(lines), len(text) // (4 * HISTOGRAM_BINS)) + 1
+    lbp, wld = np.empty((2, most, HISTOGRAM_BINS), dtype=np.int64)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -32,7 +32,7 @@ from texture_nilm import (
 )
 from texture_nilm.cli import main
 from texture_nilm.errors import DegenerateProduct
-from texture_nilm.pipeline import dataset_from_records, extract_records
+from texture_nilm.pipeline import FeatureTable, dataset_from_records, extract_records
 
 BENCH_SYNTH = SynthConfig(
     signals_per_class=50, signal_len=4096, noise_sigma=3.0, seed=20240601
@@ -207,8 +207,8 @@ def test_criterion_6_pipeline_determinism(tmp_path):
 def test_criterion_7_synthetic_benchmark():
     # the README accuracy table: fusion strategies against single descriptors
     start = time.perf_counter()
-    records = extract_records(
-        generate(BENCH_SYNTH), EventDetectorConfig(), DescriptorConfig()
+    records = FeatureTable.joined(
+        extract_records(generate(BENCH_SYNTH), EventDetectorConfig(), DescriptorConfig())
     )
     reports = {
         "sum": run_eval(dataset_from_records(records, "sum"), BENCH_KNN, BENCH_EVAL),

@@ -18,7 +18,9 @@ from texture_nilm import (
     Metric,
     SynthConfig,
     VoteWeighting,
+    cli,
     generate,
+    pipeline,
 )
 from texture_nilm.cli import _write_text_atomic, main
 from texture_nilm.config import (
@@ -29,7 +31,7 @@ from texture_nilm.config import (
     load_config,
 )
 from texture_nilm.errors import InvalidConfig
-from texture_nilm.pipeline import extract_records, load_records, records_to_jsonl
+from texture_nilm.pipeline import FeatureTable, extract_records, load_records, records_to_jsonl
 
 
 def sha(path):
@@ -345,6 +347,32 @@ class TestExtractCommand:
         assert main(["extract", "--config", str(cfg)]) == 4
         assert "no events" in capsys.readouterr().err
         assert not (tmp_path / "out" / "features.jsonl").exists()
+        assert not list(tmp_path.glob("**/*.tmp"))
+
+    def test_failed_stack_write_keeps_the_old_dump(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            detector={"delta_watts": 15.0, "steady_len": 5, "window_len": 16},
+        )
+        dump = tmp_path / "out" / "features.jsonl"
+        dump.parent.mkdir()
+        dump.write_bytes(b"an earlier dump\n")
+        # three windows per stack, so the dump takes several writes
+        monkeypatch.setattr(pipeline, "CHUNK_SAMPLES", 3 * 16)
+        calls = []
+
+        def fail_second(table):
+            calls.append(len(table))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return records_to_jsonl(table)
+
+        monkeypatch.setattr(cli, "records_to_jsonl", fail_second)
+        assert main(["extract", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert calls == [3, 3]
+        assert dump.read_bytes() == b"an earlier dump\n"
+        assert not list(tmp_path.glob("**/*.tmp"))
 
     @pytest.mark.parametrize(
         "bad_row, message",
@@ -411,8 +439,8 @@ class TestExtractCommand:
         assert [s.source_id for s in shuffled] != [s.source_id for s in signals]
         detector = EventDetectorConfig(window_len=256)
         dumps = [
-            records_to_jsonl(extract_records(batch, detector, DescriptorConfig()))
-            for batch in (signals, shuffled)
+            records_to_jsonl(FeatureTable.joined(extract_records(b, detector, DescriptorConfig())))
+            for b in (signals, shuffled)
         ]
         assert dumps[0] and dumps[1] == dumps[0]
 

@@ -32,7 +32,7 @@ from texture_nilm import (
 )
 from texture_nilm.errors import InvalidConfig, TooFewClasses, TooFewSamplesPerClass
 from texture_nilm.evaluation import FoldScore
-from texture_nilm.pipeline import dataset_from_records, extract_records
+from texture_nilm.pipeline import FeatureTable, dataset_from_records, extract_records
 
 
 def dataset(labels, rng=None, dims=4):
@@ -288,8 +288,8 @@ def test_default_fingerprint_matches_the_field_by_field_one(knn, cfg, strategy):
 def small_corpus_datasets():
     """sum, concat, lbp-only and wld-only datasets of a 10-signal-per-class corpus."""
     synth = SynthConfig(signals_per_class=10, seed=20240601)
-    records = extract_records(
-        generate(synth), EventDetectorConfig(window_len=1024), DescriptorConfig()
+    records = FeatureTable.joined(
+        extract_records(generate(synth), EventDetectorConfig(window_len=1024), DescriptorConfig())
     )
     return {
         "sum": dataset_from_records(records, "sum"),

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_config
 from texture_nilm import (
     DescriptorConfig,
     EventDetectorConfig,
     FusionStrategy,
     SynthConfig,
+    cli,
     generate,
     pipeline,
 )
@@ -61,12 +63,32 @@ def test_chunk_size_does_not_change_the_dump(monkeypatch):
     # one window per stack, three (the last stack is short), and the default
     for chunk in (16, 3 * 16, pipeline.CHUNK_SAMPLES):
         monkeypatch.setattr(pipeline, "CHUNK_SAMPLES", chunk)
-        table = extract_records(signals, detector, DescriptorConfig())
+        table = FeatureTable.joined(extract_records(signals, detector, DescriptorConfig()))
         dumps.append(records_to_jsonl(table))
     assert len(table) % 3 != 0
     assert table.lbp.shape == table.wld.shape == (len(table), 256)
     assert table.lbp.dtype == table.wld.dtype == np.uint8
     assert dumps[0] == dumps[1] == dumps[2] == jsonl_ref(table)
+
+
+def test_extract_writes_the_dump_a_stack_at_a_time(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path / "c.json", detector={"delta_watts": 15.0, "steady_len": 5, "window_len": 16}
+    )
+    calls = []
+    monkeypatch.setattr(cli, "records_to_jsonl", lambda t: calls.append(t) or records_to_jsonl(t))
+    dumps = []
+    # one window per stack, three (the last stack is short), and the default
+    for chunk in (16, 3 * 16, pipeline.CHUNK_SAMPLES):
+        monkeypatch.setattr(pipeline, "CHUNK_SAMPLES", chunk)
+        calls.clear()
+        assert cli.main(["extract", "--config", str(cfg)]) == 0
+        assert max(len(t) for t in calls) <= chunk // 16
+        table = FeatureTable.joined(calls)
+        dumps.append((tmp_path / "out" / "features.jsonl").read_text())
+        assert dumps[-1] == records_to_jsonl(table) == jsonl_ref(table)
+    assert len(table) > 3 and len(table) % 3 != 0
+    assert dumps[0] == dumps[1] == dumps[2]
 
 
 def test_writer_matches_json_dumps_on_any_counts_and_strings(tmp_path):
@@ -274,8 +296,10 @@ def test_per_line_reader_sizes_its_arrays_by_its_records(tmp_path):
 
 
 def test_canonical_dump_is_read_without_json_loads(monkeypatch, tmp_path):
-    table = extract_records(
-        generate(CONFTEST_SYNTH), EventDetectorConfig(window_len=16), DescriptorConfig()
+    table = FeatureTable.joined(
+        extract_records(
+            generate(CONFTEST_SYNTH), EventDetectorConfig(window_len=16), DescriptorConfig()
+        )
     )
     # stacks of 32 lines, so the dump is read in several
     monkeypatch.setattr(pipeline, "CHUNK_SAMPLES", 32 * 256)
@@ -386,8 +410,10 @@ def traced_peak(call):
 
 
 def test_extraction_keeps_one_byte_per_count():
-    extract = partial(extract_records, generate(DENSE_SYNTH), DENSE_DETECTOR, DescriptorConfig())
-    table, peak = traced_peak(extract)
+    signals = generate(DENSE_SYNTH)
+    table, peak = traced_peak(
+        lambda: FeatureTable.joined(extract_records(signals, DENSE_DETECTOR, DescriptorConfig()))
+    )
     assert len(table) > 1500
     assert table.lbp.nbytes + table.wld.nbytes == len(table) * 512
     # measured 3.8 MB; two int64 columns alone would take 6.6 MB, and building
@@ -396,7 +422,9 @@ def test_extraction_keeps_one_byte_per_count():
 
 
 def test_canonical_dump_is_read_into_narrow_columns(tmp_path, monkeypatch):
-    table = extract_records(generate(DENSE_SYNTH), DENSE_DETECTOR, DescriptorConfig())
+    table = FeatureTable.joined(
+        extract_records(generate(DENSE_SYNTH), DENSE_DETECTOR, DescriptorConfig())
+    )
     dump = tmp_path / "features.jsonl"
     dump.write_text(records_to_jsonl(table))
     monkeypatch.setattr(pipeline.json, "loads", mock.Mock(side_effect=AssertionError("slow path")))
@@ -405,3 +433,25 @@ def test_canonical_dump_is_read_into_narrow_columns(tmp_path, monkeypatch):
     # measured 4.0 MB, with the dump's 1.7 MB text; preallocated int64 columns
     # peaked at 9.2 MB
     assert peak < 6 * 2**20
+
+
+def test_extract_holds_one_stack_of_the_dump(tmp_path):
+    # the DENSE_SYNTH corpus four times over: about 6,500 windows, a 6.9 MB dump
+    synth = {
+        "classes": list(DENSE_SYNTH.classes),
+        "signals_per_class": 40,
+        "signal_len": DENSE_SYNTH.signal_len,
+        "noise_sigma": DENSE_SYNTH.noise_sigma,
+        "seed": DENSE_SYNTH.seed,
+    }
+    cfg = write_config(
+        tmp_path / "c.json",
+        detector={"window_len": DENSE_DETECTOR.window_len},
+        io={"output": str(tmp_path / "out"), "synth": synth},
+    )
+    code, peak = traced_peak(partial(cli.main, ["extract", "--config", str(cfg)]))
+    assert code == 0
+    # measured 13.8 MB, with the signals and the table; building the whole dump
+    # text and its join peaked at 17.7 to 18.5 MB (on the 16,210 windows of
+    # dense-events: 31.4 MB against 45.1 MB)
+    assert peak < 15.5 * 2**20
