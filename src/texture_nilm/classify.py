@@ -36,7 +36,6 @@ from .errors import (
     InvalidConfig,
     NonFiniteDistance,
 )
-from .fusion import FusionStrategy
 
 
 class Metric(str, enum.Enum):
@@ -77,13 +76,12 @@ class KnnConfig:
 class LabeledDataset:
     """Feature vectors with labels, stored as one (n, d) matrix.
 
-    ``strategy`` records the fusion strategy the vectors came from; it is None
-    for single-descriptor datasets used in ablation runs.
+    Which fusion strategy or descriptor made the vectors is the caller's
+    record: the CLI writes it into the report's config.
     """
 
     vectors: np.ndarray
     labels: list[str]
-    strategy: FusionStrategy | None = None
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)

@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, extract, eval, report.
 
-One JSON config drives everything; a handful of flags override the sweep
-parameters so strategy/k/metric comparisons are one-liners. All randomness
+One JSON config drives everything; a handful of flags set the sweep
+parameters, as if written in the config, so strategy/k/metric comparisons
+are one-liners. All randomness
 flows from config seeds, so re-running any command with the same inputs
 produces byte-identical artifacts.
 
@@ -21,13 +22,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    PipelineConfig,
-    apply_overrides,
-    config_fingerprint,
-    config_to_dict,
-    load_config,
-)
+from .config import PipelineConfig, config_fingerprint, config_to_dict, load_config
 from .data import generate, load_dataset, write_corpus
 from .errors import InvalidConfig, MalformedCsv, PipelineError
 from .evaluation import EvalReport, run_eval
@@ -76,13 +71,10 @@ def _write_text_atomic(path: Path, text: str) -> None:
 
 
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config)
     strategy = getattr(args, "strategy", None)
-    if strategy == "all":
-        strategy = None
-    return apply_overrides(
-        cfg,
-        strategy=strategy,
+    return load_config(
+        args.config,
+        strategy=None if strategy == "all" else strategy,
         k=getattr(args, "k", None),
         metric=getattr(args, "metric", None),
         folds=getattr(args, "folds", None),
@@ -135,6 +127,7 @@ def _single_report_doc(cfg: PipelineConfig, report: EvalReport) -> dict:
     return {
         "tool_version": __version__,
         "config": config_to_dict(cfg),
+        "config_fingerprint": config_fingerprint(cfg),
         **report.to_dict(),
     }
 
@@ -164,7 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for strategy in strategies:
         cfg_s = dataclasses.replace(cfg, fusion_strategy=strategy)
         dataset = dataset_from_records(records, strategy)
-        report = run_eval(dataset, cfg_s.knn, cfg_s.eval, config_fingerprint(cfg_s))
+        report = run_eval(dataset, cfg_s.knn, cfg_s.eval)
         name = strategy.value
         docs[name] = _single_report_doc(cfg_s, report)
         csv_rows = report.to_csv_rows()

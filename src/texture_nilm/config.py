@@ -90,9 +90,11 @@ def _check_type(value, hint, key: str) -> None:
                 raise InvalidConfig(f"{key} must be {what}, got {json.dumps(value)}")
 
 
-def _build(cls, block: dict, where: str):
+def _build(cls, block: dict, where: str, **flags):
+    """``cls`` from a raw block, with each flag that is not None written in."""
     if not isinstance(block, dict):
         raise InvalidConfig(f"{where} must be a JSON object")
+    block = {**block, **{key: value for key, value in flags.items() if value is not None}}
     hints = typing.get_type_hints(cls)
     unknown = set(block) - set(hints)
     if unknown:
@@ -105,7 +107,21 @@ def _build(cls, block: dict, where: str):
         raise InvalidConfig(f"bad {where} block: {exc}") from exc
 
 
-def config_from_dict(raw: dict) -> PipelineConfig:
+def config_from_dict(
+    raw: dict,
+    *,
+    strategy: str | None = None,
+    k: int | None = None,
+    metric: str | None = None,
+    folds: int | None = None,
+    seed: int | None = None,
+) -> PipelineConfig:
+    """Validate a raw config with the CLI flags written into it.
+
+    A flag that is not None sets its key as if the file held that value, so
+    it is checked the same way; ``seed`` sets the eval seed and, when there
+    is a synth block, the synth seed.
+    """
     if not isinstance(raw, dict):
         raise InvalidConfig("config root must be a JSON object")
     unknown = set(raw) - {f.name for f in dataclasses.fields(PipelineConfig)}
@@ -114,10 +130,13 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
     io_block = raw.get("io", {})
     if isinstance(io_block, dict) and io_block.get("synth") is not None:
-        io_block = {**io_block, "synth": _build(SynthConfig, io_block["synth"], "io.synth")}
+        synth = _build(SynthConfig, io_block["synth"], "io.synth", seed=seed)
+        io_block = {**io_block, "synth": synth}
 
+    if strategy is None:
+        strategy = raw.get("fusion_strategy", "sum")
     try:
-        strategy = FusionStrategy(raw.get("fusion_strategy", "sum"))
+        strategy = FusionStrategy(strategy)
     except ValueError as exc:
         raise InvalidConfig(f"bad fusion_strategy: {exc}") from exc
 
@@ -125,14 +144,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         detector=_build(EventDetectorConfig, raw.get("detector", {}), "detector"),
         descriptor=_build(DescriptorConfig, raw.get("descriptor", {}), "descriptor"),
         fusion_strategy=strategy,
-        knn=_build(KnnConfig, raw.get("knn", {}), "knn"),
-        eval=_build(EvalConfig, raw.get("eval", {}), "eval"),
+        knn=_build(KnnConfig, raw.get("knn", {}), "knn", k=k, metric=metric),
+        eval=_build(EvalConfig, raw.get("eval", {}), "eval", folds=folds, seed=seed),
         io=_build(IoConfig, io_block, "io"),
     )
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Read and validate a pipeline config file.
+def load_config(path: str | Path, **flags) -> PipelineConfig:
+    """Read and validate a pipeline config file, with ``flags`` as in
+    :func:`config_from_dict`.
 
     IO errors propagate as OSError; content problems raise InvalidConfig.
     """
@@ -140,45 +160,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = json.loads(Path(path).read_text())
     except ValueError as exc:  # bad JSON, or text that does not decode
         raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
-
-
-def apply_overrides(
-    cfg: PipelineConfig,
-    strategy: str | None = None,
-    k: int | None = None,
-    metric: str | None = None,
-    folds: int | None = None,
-    seed: int | None = None,
-) -> PipelineConfig:
-    """Apply CLI flag overrides. --seed drives both eval and synth seeds."""
-    try:
-        if strategy is not None:
-            cfg = dataclasses.replace(cfg, fusion_strategy=FusionStrategy(strategy))
-        if k is not None:
-            cfg = dataclasses.replace(cfg, knn=dataclasses.replace(cfg.knn, k=k))
-        if metric is not None:
-            cfg = dataclasses.replace(
-                cfg, knn=dataclasses.replace(cfg.knn, metric=metric)
-            )
-        if folds is not None:
-            cfg = dataclasses.replace(
-                cfg, eval=dataclasses.replace(cfg.eval, folds=folds)
-            )
-        if seed is not None:
-            cfg = dataclasses.replace(
-                cfg, eval=dataclasses.replace(cfg.eval, seed=seed)
-            )
-            if cfg.io.synth is not None:
-                cfg = dataclasses.replace(
-                    cfg,
-                    io=dataclasses.replace(
-                        cfg.io, synth=dataclasses.replace(cfg.io.synth, seed=seed)
-                    ),
-                )
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
-    return cfg
+    return config_from_dict(raw, **flags)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

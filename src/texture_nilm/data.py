@@ -64,47 +64,9 @@ _MAX_WORKERS = 8
 # before Python 3.11, whose executor can fork while its own thread runs.
 _FORK_POOL = sys.platform == "linux" and sys.version_info >= (3, 11)
 
-ARCHETYPES = (
-    "square_wave",
-    "staircase",
-    "spike_decay",
-    "sinusoid",
-    "constant_drift",
-    "duty_cycled",
-)
-
 # noisy samples are clamped away from 0 so the only zeros in generated data
 # are the deliberate dropout markers
 _NOISE_FLOOR = 0.5
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    classes: tuple[str, ...] = ARCHETYPES
-    signals_per_class: int = 50
-    signal_len: int = 4096
-    noise_sigma: float = 3.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if len(self.classes) < 2:
-            raise InvalidConfig("at least two classes required")
-        unknown = [c for c in self.classes if c not in ARCHETYPES]
-        if unknown:
-            raise InvalidConfig(
-                f"unknown archetypes {unknown}; known: {list(ARCHETYPES)}"
-            )
-        if len(set(self.classes)) != len(self.classes):
-            raise InvalidConfig("classes must be distinct")
-        if self.signals_per_class < 1:
-            raise InvalidConfig("signals_per_class must be positive")
-        if self.signal_len < 9:
-            raise InvalidConfig("signal_len must be at least 9")
-        if self.noise_sigma < 0:
-            raise InvalidConfig("noise_sigma must be non-negative")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
 
 
 def _parse_timestamp(raw: str, path: Path) -> float:
@@ -598,6 +560,36 @@ _ARCHETYPE_FUNCS = {
     "constant_drift": _constant_drift,
     "duty_cycled": _duty_cycled,
 }
+ARCHETYPES = tuple(_ARCHETYPE_FUNCS)
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    classes: tuple[str, ...] = ARCHETYPES
+    signals_per_class: int = 50
+    signal_len: int = 4096
+    noise_sigma: float = 3.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "classes", tuple(self.classes))
+        if len(self.classes) < 2:
+            raise InvalidConfig("at least two classes required")
+        unknown = [c for c in self.classes if c not in ARCHETYPES]
+        if unknown:
+            raise InvalidConfig(
+                f"unknown archetypes {unknown}; known: {list(ARCHETYPES)}"
+            )
+        if len(set(self.classes)) != len(self.classes):
+            raise InvalidConfig("classes must be distinct")
+        if self.signals_per_class < 1:
+            raise InvalidConfig("signals_per_class must be positive")
+        if self.signal_len < 9:
+            raise InvalidConfig("signal_len must be at least 9")
+        if self.noise_sigma < 0:
+            raise InvalidConfig("noise_sigma must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
 
 
 def generate(cfg: SynthConfig) -> list[PowerSignal]:

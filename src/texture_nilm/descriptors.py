@@ -14,7 +14,7 @@ exactly (rows-2)*(cols-2). Both take one window or a stack, one histogram each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class DescriptorHistogram:
 
     bins: np.ndarray
     kind: str
-    total: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.bins = np.asarray(self.bins)
@@ -96,7 +95,6 @@ class DescriptorHistogram:
             raise ValueError("kind must be 'lbp' or 'wld'")
         if not np.all(np.isfinite(self.bins)) or self.bins.min() < 0:
             raise ValueError("bins must be finite and non-negative")
-        self.total = float(self.bins.sum())
 
 
 def _histograms(index: np.ndarray) -> np.ndarray:

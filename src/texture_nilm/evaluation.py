@@ -7,7 +7,6 @@ platform, and reports serialize byte-identically across runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 
@@ -52,7 +51,6 @@ class EvalReport:
     mean_accuracy: float
     mean_macro_f1: float
     confusion: np.ndarray
-    config_fingerprint: str
     seed: int
 
     def to_dict(self) -> dict:
@@ -131,29 +129,13 @@ def macro_f1(confusion: np.ndarray) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def _default_fingerprint(ds: LabeledDataset, knn: KnnConfig, cfg: EvalConfig) -> str:
-    visible = {
-        "knn": asdict(knn),
-        "eval": asdict(cfg),
-        "strategy": None if ds.strategy is None else ds.strategy.value,
-    }
-    canonical = json.dumps(visible, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def run_eval(
-    ds: LabeledDataset,
-    knn: KnnConfig,
-    cfg: EvalConfig,
-    config_fingerprint: str | None = None,
-) -> EvalReport:
+def run_eval(ds: LabeledDataset, knn: KnnConfig, cfg: EvalConfig) -> EvalReport:
     """Cross-validate a KNN classifier over the dataset.
 
     Each fold trains on its complement and predicts the fold; per-fold scores
     and the summed confusion matrix go into the report. Deterministic in
-    (dataset order, seed, configs). When no fingerprint is supplied, one is
-    derived from the configs visible at this layer; the CLI passes the full
-    pipeline fingerprint instead.
+    (dataset order, seed, configs). The report holds no config identity: the
+    CLI writes the whole pipeline config and its fingerprint next to it.
     """
     labels = ds.class_set
     if len(labels) < 2:
@@ -164,11 +146,7 @@ def run_eval(
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     per_fold = []
     for f, (train_idx, test_idx) in enumerate(stratified_folds(ds, cfg)):
-        train = LabeledDataset(
-            ds.vectors[train_idx],
-            [ds.labels[i] for i in train_idx],
-            ds.strategy,
-        )
+        train = LabeledDataset(ds.vectors[train_idx], [ds.labels[i] for i in train_idx])
         predictions = predict_batch(train, ds.vectors[test_idx], knn)
         fold_conf = np.zeros_like(confusion)
         for i, predicted in zip(test_idx, predictions):
@@ -182,14 +160,11 @@ def run_eval(
                 test_size=int(test_idx.size),
             )
         )
-    if config_fingerprint is None:
-        config_fingerprint = _default_fingerprint(ds, knn, cfg)
     return EvalReport(
         class_labels=labels,
         per_fold=per_fold,
         mean_accuracy=float(np.trace(confusion) / confusion.sum()),
         mean_macro_f1=float(np.mean([f.macro_f1 for f in per_fold])),
         confusion=confusion,
-        config_fingerprint=config_fingerprint,
         seed=cfg.seed,
     )

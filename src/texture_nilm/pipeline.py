@@ -287,4 +287,4 @@ def dataset_from_records(
         i = exc.row
         where = _where(table.label[i], table.source_id[i], table.onset_index[i])
         raise type(exc)(f"{exc} ({where})", i) from None
-    return LabeledDataset(fused, table.label, strategy)
+    return LabeledDataset(fused, table.label)

@@ -4,24 +4,22 @@ Everything in this module is deliberately scalar, loop-based and written
 directly from the operation definitions, so the vectorized production code
 can be cross-checked against a second, independent path. Keep it dumb.
 
-Nine functions are frozen copies of original production code rather than
+Eight functions are frozen copies of original production code rather than
 independent derivations: :func:`knn_predict_exact_ref` (the per-query
 classifier scan), :func:`fuse_ref` (the one-window histogram fusion),
 :func:`load_csv_ref` (the row-by-row CSV reader), :func:`write_corpus_ref`
 (the per-row corpus writer), :func:`detect_events_ref` (the per-run,
 per-window event detector), :func:`stratified_folds_ref` (the per-fold
-index lists), and :func:`config_to_dict_ref`,
-:func:`report_to_dict_ref` and :func:`default_fingerprint_ref` (the config
-and report dicts written out field by field). They pin outputs bit for bit,
-and error messages too, where the scalar oracles only pin the definitions.
+index lists), and :func:`config_to_dict_ref` and
+:func:`report_to_dict_ref` (the config and report dicts written out field
+by field). They pin outputs bit for bit, and error messages too, where the
+scalar oracles only pin the definitions.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
-import json
 import math
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -460,7 +458,8 @@ def config_to_dict_ref(cfg):
 
 
 def report_to_dict_ref(report):
-    """Frozen from the original ``EvalReport.to_dict``."""
+    """Frozen from the original ``EvalReport.to_dict``, less the config
+    fingerprint, which the CLI writes next to the config."""
     return {
         "class_labels": list(report.class_labels),
         "per_fold": [
@@ -475,17 +474,6 @@ def report_to_dict_ref(report):
         "mean_accuracy": report.mean_accuracy,
         "mean_macro_f1": report.mean_macro_f1,
         "confusion": [[int(v) for v in row] for row in report.confusion],
-        "config_fingerprint": report.config_fingerprint,
         "seed": report.seed,
     }
 
-
-def default_fingerprint_ref(ds, knn, cfg):
-    """Frozen from the original fingerprint of the configs ``run_eval`` sees."""
-    visible = {
-        "knn": {"k": knn.k, "metric": knn.metric.value, "weighting": knn.weighting.value},
-        "eval": {"folds": cfg.folds, "seed": cfg.seed, "stratified": cfg.stratified},
-        "strategy": None if ds.strategy is None else ds.strategy.value,
-    }
-    canonical = json.dumps(visible, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()

@@ -4,7 +4,7 @@ perfbench/tracing.py times layers by wrapping names the program looks up at
 call time. A refactor that deletes or renames one of them makes the metrics
 built on it vanish from a ``--trace 1`` run, which leaves that run's result
 without metrics BENCHMARK.json declares. This runs the tracer on a small
-``extract``, as the benchmark does, and reads its metrics.
+``extract`` and ``eval``, as the benchmark does, and reads their metrics.
 """
 
 import importlib.util
@@ -46,24 +46,30 @@ def load_tracing():
     return module
 
 
-def test_traced_extract_measures_every_declared_metric(tmp_path):
-    cfg = write_config(
+def small_config(tmp_path):
+    return write_config(
         tmp_path / "c.json",
         detector={"delta_watts": 15.0, "steady_len": 5, "window_len": 16},
     )
-    spans = tmp_path / "spans.json"
+
+
+def run_traced(tmp_path, *argv):
+    """The tracer of one traced CLI command, as perfbench/run.py runs it."""
+    spans = tmp_path / f"spans-{argv[0]}.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans),
-         "extract", "--config", str(cfg)],
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans), *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-
-    tracing = load_tracing()
-    tracer = tracing.Tracer()
+    tracer = load_tracing().Tracer()
     tracer.merge(spans)
-    metrics, _ = tracing.layer_metrics(tracer)
+    return tracer
+
+
+def test_traced_extract_measures_every_declared_metric(tmp_path):
+    tracer = run_traced(tmp_path, "extract", "--config", str(small_config(tmp_path)))
+    metrics, _ = load_tracing().layer_metrics(tracer)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     expected = {m["name"] for m in declared} - NOT_FROM_TRACER
     assert PINNED_COUNTS.keys() <= expected
@@ -72,3 +78,13 @@ def test_traced_extract_measures_every_declared_metric(tmp_path):
     assert {name: metrics[name][0] for name in PINNED_COUNTS} == PINNED_COUNTS
     assert set(tracer.missing) <= KNOWN_MISSING
     assert tracer.broken == set()
+
+
+def test_traced_eval_counts_one_query_per_window(tmp_path):
+    cfg = str(small_config(tmp_path))
+    run_traced(tmp_path, "extract", "--config", cfg)
+    tracer = run_traced(tmp_path, "eval", "--config", cfg)
+    metrics, _ = load_tracing().layer_metrics(tracer)
+    assert tracer.broken == set()
+    assert set(tracer.missing) <= KNOWN_MISSING
+    assert metrics["classify.queries"][0] == PINNED_COUNTS["signals.windows"]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import knn_predict_exact_ref, knn_predict_ref
 from texture_nilm import (
-    FusionStrategy,
     KnnConfig,
     LabeledDataset,
     Metric,
@@ -92,7 +91,7 @@ class TestPredict:
 
     def test_accepts_feature_vectors(self):
         fv = uniform_feature()
-        train = LabeledDataset(np.vstack([fv, fv]), ["x", "y"], FusionStrategy.SUM)
+        train = LabeledDataset(np.vstack([fv, fv]), ["x", "y"])
         assert train.class_set == ["x", "y"]
         assert len(train) == 2
         assert predict(train, fv, KnnConfig(k=1)) == "x"

@@ -24,7 +24,6 @@ from texture_nilm import (
 )
 from texture_nilm.cli import _write_text_atomic, main
 from texture_nilm.config import (
-    apply_overrides,
     config_fingerprint,
     config_from_dict,
     config_to_dict,
@@ -96,14 +95,19 @@ class TestConfigModule:
         path = write_config(tmp_path / "c.json")
         cfg = load_config(path)
         assert config_fingerprint(cfg) == config_fingerprint(load_config(path))
-        bumped = apply_overrides(cfg, k=5)
+        bumped = load_config(path, k=5)
         assert config_fingerprint(bumped) != config_fingerprint(cfg)
 
     def test_seed_override_reaches_both_seeds(self, tmp_path):
-        cfg = load_config(write_config(tmp_path / "c.json"))
-        out = apply_overrides(cfg, seed=321)
+        out = load_config(write_config(tmp_path / "c.json"), seed=321)
         assert out.eval.seed == 321
         assert out.io.synth.seed == 321
+
+    def test_seed_override_of_a_corpus_config_sets_the_eval_seed_alone(self):
+        raw = {"eval": {"folds": 3}, "io": {"input_root": "corpus"}}
+        out = config_from_dict(raw, seed=321)
+        assert out.io.synth is None
+        assert out == config_from_dict({**raw, "eval": {"folds": 3, "seed": 321}})
 
 
 @st.composite
@@ -166,10 +170,34 @@ OVERRIDES = st.fixed_dictionaries(
 )
 
 
+# flag -> (block, key) it sets; --seed also sets io.synth.seed when there is one
+FLAG_KEYS = {
+    "k": ("knn", "k"),
+    "metric": ("knn", "metric"),
+    "folds": ("eval", "folds"),
+    "seed": ("eval", "seed"),
+}
+
+
+def written_in(raw, flags):
+    """``raw`` with each flag's value written into the key it sets."""
+    raw = {key: dict(block) if isinstance(block, dict) else block for key, block in raw.items()}
+    for flag, value in flags.items():
+        if flag == "strategy":
+            raw["fusion_strategy"] = value
+        else:
+            block, key = FLAG_KEYS[flag]
+            raw.setdefault(block, {})[key] = value
+    if "seed" in flags and "synth" in raw["io"]:
+        raw["io"]["synth"] = {**raw["io"]["synth"], "seed": flags["seed"]}
+    return raw
+
+
 @settings(max_examples=80, deadline=None)
 @given(raw_configs(), OVERRIDES)
 def test_config_dict_writes_the_bytes_of_the_field_by_field_one(raw, overrides):
-    cfg = apply_overrides(config_from_dict(raw), **overrides)
+    cfg = config_from_dict(raw, **overrides)
+    assert cfg == config_from_dict(written_in(raw, overrides))
     for form in JSON_FORMS:
         assert json.dumps(config_to_dict(cfg), sort_keys=True, **form) == json.dumps(
             config_to_dict_ref(cfg), sort_keys=True, **form
@@ -290,6 +318,20 @@ class TestConfigErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, block",
+        [("--k", "0", {"knn": {"k": 0}}), ("--folds", "1", {"eval": {"folds": 1}})],
+    )
+    def test_bad_flag_value_fails_as_in_the_file(self, tmp_path, capsys, flag, value, block):
+        flagged = write_config(tmp_path / "flag.json")
+        written = write_config(tmp_path / "file.json", **block)
+        assert main(["eval", "--config", str(written)]) == 2
+        from_file = capsys.readouterr()
+        assert main(["eval", "--config", str(flagged), flag, value]) == 2
+        assert capsys.readouterr() == from_file
+        assert from_file.err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
@@ -832,6 +874,17 @@ class TestEvalCommand:
         assert rows[0] == "fold,accuracy,macro_f1"
         assert rows[-1].startswith("aggregate,")
         assert len(rows) == 5
+
+    def test_k_flag_acts_as_k_written_in_the_file(self, tmp_path):
+        # k=1 forces uniform votes, which k=5 written in the file does not keep
+        knn = {"k": 1, "weighting": "inverse_distance"}
+        flagged = write_config(tmp_path / "flag.json", knn=knn)
+        written = write_config(tmp_path / "file.json", knn={**knn, "k": 5})
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["eval", "--config", str(flagged), "--k", "5", "--out", str(a)]) == 0
+        assert main(["eval", "--config", str(written), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["config"]["knn"]["weighting"] == "inverse_distance"
 
     def test_override_changes_fingerprint(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

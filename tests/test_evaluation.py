@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import JSON_FORMS, dataset_from_single_descriptor
 from oracles import (
-    default_fingerprint_ref,
     knn_predict_exact_ref,
     macro_f1_ref,
     report_to_dict_ref,
@@ -18,12 +17,9 @@ from texture_nilm import (
     EvalConfig,
     EvalReport,
     EventDetectorConfig,
-    FusionStrategy,
     KnnConfig,
     LabeledDataset,
-    Metric,
     SynthConfig,
-    VoteWeighting,
     evaluation,
     generate,
     macro_f1,
@@ -212,10 +208,9 @@ class TestRunEval:
     def test_serialization_is_byte_identical_across_runs(self):
         rng = np.random.default_rng(13)
         ds = dataset(["a"] * 10 + ["b"] * 10, rng)
-        first = run_eval(ds, KnnConfig(k=3), EvalConfig(folds=5, seed=2), "fp")
-        second = run_eval(ds, KnnConfig(k=3), EvalConfig(folds=5, seed=2), "fp")
+        first = run_eval(ds, KnnConfig(k=3), EvalConfig(folds=5, seed=2))
+        second = run_eval(ds, KnnConfig(k=3), EvalConfig(folds=5, seed=2))
         assert first.to_json() == second.to_json()
-        assert first.config_fingerprint == "fp"
 
     def test_permuted_duplicate_dataset_still_perfect(self):
         ds = duplicate_vector_dataset()
@@ -247,7 +242,6 @@ def eval_reports(draw):
         mean_accuracy=draw(st.floats(0, 1)),
         mean_macro_f1=draw(st.floats(0, 1)),
         confusion=np.array(draw(counts), dtype=np.int64).reshape(n, n),
-        config_fingerprint=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
 
@@ -269,19 +263,6 @@ def test_run_eval_report_dict_writes_the_bytes_of_the_field_by_field_one():
     rng = np.random.default_rng(13)
     ds = dataset(["a"] * 10 + ["b"] * 10 + ["c"] * 7, rng)
     assert_same_json(run_eval(ds, KnnConfig(k=3), EvalConfig(folds=5, seed=2)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.builds(
-        KnnConfig, st.integers(1, 9), st.sampled_from(Metric), st.sampled_from(VoteWeighting)
-    ),
-    st.builds(EvalConfig, st.integers(2, 20), st.integers(0, 2**64 - 1), st.booleans()),
-    st.sampled_from([None, *FusionStrategy]),
-)
-def test_default_fingerprint_matches_the_field_by_field_one(knn, cfg, strategy):
-    ds = LabeledDataset(np.zeros((2, 3)), ["a", "b"], strategy)
-    assert evaluation._default_fingerprint(ds, knn, cfg) == default_fingerprint_ref(ds, knn, cfg)
 
 
 @pytest.fixture(scope="module")

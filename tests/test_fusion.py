@@ -122,7 +122,7 @@ def per_record_dataset(table, strategy):
                 f"onset {table.onset_index[i]}"
             )
             raise type(exc)(f"{exc} ({where})") from None
-    return LabeledDataset(np.vstack(vectors), table.label, strategy)
+    return LabeledDataset(np.vstack(vectors), table.label)
 
 
 def outcome(build, records, strategy):
@@ -130,7 +130,7 @@ def outcome(build, records, strategy):
         ds = build(records, strategy)
     except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
-    return ds.vectors.shape, ds.vectors.tobytes(), ds.labels, ds.strategy
+    return ds.vectors.shape, ds.vectors.tobytes(), ds.labels
 
 
 def random_records(rng, count, dtype=np.int64):
