@@ -102,7 +102,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    stacks = extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor)
+    # handed over as an iterator, so each signal is freed once its windows are cut
+    stacks = extract_records(iter(_resolve_signals(cfg)), cfg.detector, cfg.descriptor)
     if not stacks:
         _err("no events detected in any signal")
         return EXIT_NO_EVENTS
@@ -120,7 +121,8 @@ def _records_for_eval(cfg: PipelineConfig):
     dump = Path(cfg.io.output) / "features.jsonl"
     if dump.is_file():
         return load_records(dump)
-    return FeatureTable.joined(extract_records(_resolve_signals(cfg), cfg.detector, cfg.descriptor))
+    signals = iter(_resolve_signals(cfg))
+    return FeatureTable.joined(extract_records(signals, cfg.detector, cfg.descriptor))
 
 
 def _single_report_doc(cfg: PipelineConfig, report: EvalReport) -> dict:

@@ -7,7 +7,6 @@ platform, and reports serialize byte-identically across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,9 +54,6 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "confusion": self.confusion.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv_rows(self) -> list[str]:
         """`fold,accuracy,macro_f1` lines followed by an aggregate row."""

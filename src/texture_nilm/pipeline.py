@@ -1,7 +1,8 @@
 """End-to-end wiring behind the CLI commands.
 
 Extraction describes windows a stack at a time into one :class:`FeatureTable`
-per stack, of labels, provenance and raw 256-bin histograms, one row per window.
+per stack, of labels, provenance and raw 256-bin histograms, one row per window;
+a signal nobody else holds is freed once its windows are cut.
 Each histogram column keeps non-negative integer counts below 2**32 in the
 narrowest unsigned type that holds its largest count (uint8, uint16 or uint32),
 and any other column as it is. The feature dump stores the stacks one after
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -88,8 +90,16 @@ def _extract_one(signal: PowerSignal, detector: EventDetectorConfig) -> list[Eve
     return detect_events(impute_zeros(signal), detector)
 
 
+def _cut(pending: list[PowerSignal], detector: EventDetectorConfig):
+    """``(label, source_id, window)`` of every window of the signals popped off
+    ``pending``; a popped signal is held by its ``_extract_one`` call alone."""
+    while pending:
+        label, source_id = pending[-1].label, pending[-1].source_id
+        yield from ((label, source_id, w) for w in _extract_one(pending.pop(), detector))
+
+
 def extract_records(
-    signals: list[PowerSignal],
+    signals: Iterable[PowerSignal],
     detector: EventDetectorConfig,
     descriptor: DescriptorConfig,
 ) -> list[FeatureTable]:
@@ -99,24 +109,29 @@ def extract_records(
     be short), with signals in (label, source_id) order and their windows in
     onset order, so the output does not depend on the order of ``signals``. The
     first window whose range overflows float64 raises RangeOverflow.
+
+    A signal nobody else holds is freed once its windows are cut. A list
+    passed in stays referenced until the call returns, so hand a corpus over
+    as ``iter(corpus)``: ``sorted`` exhausts the iterator, and an exhausted
+    list iterator lets go of its list.
     """
-    ordered = sorted(signals, key=lambda s: (s.label, s.source_id))
-    cut = ((s, w) for s in ordered for w in _extract_one(s, detector))
+    pending = sorted(signals, key=lambda s: (s.label, s.source_id))
+    pending.reverse()  # popped from the end, so equal keys keep their sorted order
+    cut = _cut(pending, detector)
     step = max(1, CHUNK_SAMPLES // detector.window_len)
     stacks = []
     while chunk := list(islice(cut, step)):
+        labels, sources, windows = map(list, zip(*chunk))
+        onsets = [w.onset_index for w in windows]
         try:
-            matrices = reshape(np.stack([w.samples for _, w in chunk]))
+            matrices = reshape(np.stack([w.samples for w in windows]))
         except RangeOverflow as exc:
-            s, w = chunk[exc.row]
-            where = _where(s.label, s.source_id, w.onset_index)
+            where = _where(labels[exc.row], sources[exc.row], onsets[exc.row])
             raise RangeOverflow(f"{exc} ({where})", len(stacks) * step + exc.row) from None
-        provenance = [s.label for s, _ in chunk], [s.source_id for s, _ in chunk]
-        onsets = [w.onset_index for _, w in chunk]
         # narrowed here, so each int64 column is freed before the next histogram is computed
         lbp = _narrow(lbp_histogram(matrices).bins)
         wld = _narrow(wld_histogram(matrices, descriptor).bins)
-        stacks.append(FeatureTable(*provenance, onsets, lbp, wld))
+        stacks.append(FeatureTable(labels, sources, onsets, lbp, wld))
     return stacks
 
 
