@@ -42,9 +42,6 @@ EXIT_NO_EVENTS = 4
 
 STRATEGY_NAMES = [s.value for s in FusionStrategy]
 
-# characters encoded and written at a time, so no whole artifact is encoded at once
-WRITE_CHARS = 1 << 20
-
 
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
@@ -65,11 +62,6 @@ def _atomic_file(path: Path):
         raise
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    with _atomic_file(path) as f:
-        f.writelines(text[i : i + WRITE_CHARS] for i in range(0, len(text), WRITE_CHARS))
-
-
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     strategy = getattr(args, "strategy", None)
     return load_config(
@@ -88,6 +80,11 @@ def _resolve_signals(cfg: PipelineConfig):
     return generate(cfg.io.synth)
 
 
+def _extract(cfg: PipelineConfig) -> list[FeatureTable]:
+    # handed over as an iterator, so each signal is freed once its windows are cut
+    return extract_records(iter(_resolve_signals(cfg)), cfg.detector, cfg.descriptor)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     if cfg.io.synth is None:
@@ -102,8 +99,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    # handed over as an iterator, so each signal is freed once its windows are cut
-    stacks = extract_records(iter(_resolve_signals(cfg)), cfg.detector, cfg.descriptor)
+    stacks = _extract(cfg)
     if not stacks:
         _err("no events detected in any signal")
         return EXIT_NO_EVENTS
@@ -121,8 +117,7 @@ def _records_for_eval(cfg: PipelineConfig):
     dump = Path(cfg.io.output) / "features.jsonl"
     if dump.is_file():
         return load_records(dump)
-    signals = iter(_resolve_signals(cfg))
-    return FeatureTable.joined(extract_records(signals, cfg.detector, cfg.descriptor))
+    return FeatureTable.joined(_extract(cfg))
 
 
 def _single_report_doc(cfg: PipelineConfig, report: EvalReport) -> dict:
@@ -155,15 +150,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run_all = args.strategy == "all"
     strategies = list(FusionStrategy) if run_all else [cfg.fusion_strategy]
     docs, lines = {}, []
-    rows = ["strategy,fold,accuracy,macro_f1"] if run_all else []
+    rows = ["strategy,fold,accuracy,macro_f1" if run_all else "fold,accuracy,macro_f1"]
     for strategy in strategies:
         cfg_s = dataclasses.replace(cfg, fusion_strategy=strategy)
         dataset = dataset_from_records(records, strategy)
         report = run_eval(dataset, cfg_s.knn, cfg_s.eval)
         name = strategy.value
         docs[name] = _single_report_doc(cfg_s, report)
-        csv_rows = report.to_csv_rows()
-        rows += [f"{name},{row}" for row in csv_rows[1:]] if run_all else csv_rows
+        column = f"{name}," if run_all else ""
+        rows += [f"{column}{f.fold},{f.accuracy!r},{f.macro_f1!r}" for f in report.per_fold]
+        rows.append(f"{column}aggregate,{report.mean_accuracy!r},{report.mean_macro_f1!r}")
         prefix = f"{name}: " if run_all else ""
         lines.append(f"{prefix}accuracy={report.mean_accuracy!r} macro_f1={report.mean_macro_f1!r}")
 
@@ -183,9 +179,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         doc = docs[cfg.fusion_strategy.value]
 
     out = Path(args.out) if args.out else Path(cfg.io.output) / "report.json"
-    _write_text_atomic(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with _atomic_file(out) as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if cfg.io.report_csv:
-        _write_text_atomic(Path(cfg.io.report_csv), "\n".join(rows) + "\n")
+        with _atomic_file(Path(cfg.io.report_csv)) as f:
+            f.write("\n".join(rows) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -85,14 +85,11 @@ class DescriptorHistogram:
     """
 
     bins: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         self.bins = np.asarray(self.bins)
         if self.bins.ndim not in (1, 2) or self.bins.shape[-1] != HISTOGRAM_BINS:
             raise ValueError(f"histogram must have exactly {HISTOGRAM_BINS} bins")
-        if self.kind not in ("lbp", "wld"):
-            raise ValueError("kind must be 'lbp' or 'wld'")
         if not np.all(np.isfinite(self.bins)) or self.bins.min() < 0:
             raise ValueError("bins must be finite and non-negative")
 
@@ -117,7 +114,7 @@ def lbp_histogram(m: Matrix2D) -> DescriptorHistogram:
     for bit, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         nb = g[..., 1 + dr : m.rows - 1 + dr, 1 + dc : m.cols - 1 + dc]
         codes |= (nb >= center).astype(np.int64) << bit
-    return DescriptorHistogram(bins=_histograms(codes), kind="lbp")
+    return DescriptorHistogram(_histograms(codes))
 
 
 def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
@@ -157,4 +154,4 @@ def wld_histogram(m: Matrix2D, cfg: DescriptorConfig) -> DescriptorHistogram:
         0,
         cfg.excitation_bins - 1,
     )
-    return DescriptorHistogram(bins=_histograms(t * cfg.excitation_bins + e), kind="wld")
+    return DescriptorHistogram(_histograms(t * cfg.excitation_bins + e))

@@ -55,13 +55,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return {**asdict(self), "confusion": self.confusion.tolist()}
 
-    def to_csv_rows(self) -> list[str]:
-        """`fold,accuracy,macro_f1` lines followed by an aggregate row."""
-        rows = ["fold,accuracy,macro_f1"]
-        rows += [f"{f.fold},{f.accuracy!r},{f.macro_f1!r}" for f in self.per_fold]
-        rows.append(f"aggregate,{self.mean_accuracy!r},{self.mean_macro_f1!r}")
-        return rows
-
 
 def stratified_folds(
     ds: LabeledDataset, cfg: EvalConfig

@@ -28,7 +28,8 @@ from .signals import EventDetectorConfig, EventWindow, PowerSignal, detect_event
 from .transform2d import reshape
 
 # samples per stack of windows described at once (about as many grid cells), and
-# counts per JSONL formatting step, so temporaries stay small for any window length
+# counts per stack of dump lines parsed at once, so temporaries stay small for
+# any window length
 CHUNK_SAMPLES = 1 << 15
 
 
@@ -159,29 +160,30 @@ def _format_rows(counts: np.ndarray, decimals: np.ndarray) -> list[str]:
     chars[:, -1] = ord("\n")  # each row's last comma ends its line
     rows = chars.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
     # counts past the table, and any negative one, keep their own str()
-    if counts.max() > top or counts.min() < 0:
+    if counts.max(initial=0) > top or counts.min(initial=0) < 0:
         for i in np.flatnonzero(((counts < 0) | (counts > top)).any(axis=1)).tolist():
             rows[i] = ",".join(map(str, counts[i].tolist()))
     return rows
 
 
 def records_to_jsonl(table: FeatureTable) -> str:
-    """One JSON object per window and line, with sorted keys and no spaces."""
+    """One JSON object per window and line, with sorted keys and no spaces.
+
+    The table is formatted in one pass, so callers hand it over a stack at a
+    time; the texts of consecutive row slices join to the text of the whole.
+    """
     # texts for 0..the largest count, but never more than the table has counts
     top = min(int(max(table.lbp.max(initial=0), table.wld.max(initial=0))), table.lbp.size)
     decimals = _decimal_table(top)
     quoted = {s: json.dumps(s) for s in {*table.label, *table.source_id}}
-    step = max(1, CHUNK_SAMPLES // HISTOGRAM_BINS)
-    lines = []
-    for start in range(0, len(table), step):
-        rows = (_format_rows(c[start : start + step], decimals) for c in (table.lbp, table.wld))
-        for i, (lbp, wld) in enumerate(zip(*rows), start):
-            label, source = quoted[table.label[i]], quoted[table.source_id[i]]
-            lines.append(
-                f'{{"label":{label},"lbp":[{lbp}],"onset_index":{table.onset_index[i]},'
-                f'"source_id":{source},"wld":[{wld}]}}\n'
-            )
-    return "".join(lines)
+    lbp, wld = (_format_rows(c, decimals) for c in (table.lbp, table.wld))
+    return "".join(
+        f'{{"label":{quoted[label]},"lbp":[{lbp_row}],"onset_index":{onset},'
+        f'"source_id":{quoted[source]},"wld":[{wld_row}]}}\n'
+        for label, source, onset, lbp_row, wld_row in zip(
+            table.label, table.source_id, table.onset_index, lbp, wld
+        )
+    )
 
 
 # the fields of a dump line in the writer's layout; re-encoding checks the rest

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import shutil
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from texture_nilm import (
     generate,
     pipeline,
 )
-from texture_nilm.cli import _write_text_atomic, main
+from texture_nilm.cli import main
 from texture_nilm.config import (
     config_fingerprint,
     config_from_dict,
@@ -901,24 +900,6 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg), "--out", str(target)]) == 3
         assert not list(tmp_path.glob("report_dir.tmp"))
         assert not list(tmp_path.glob("**/*.tmp"))
-
-
-def test_artifacts_are_written_a_slice_at_a_time(tmp_path):
-    # 16 MB of ASCII lines and a short last slice
-    text = "0123456789abcde\n" * 2**20 + "end\n"
-    expected = tmp_path / "expected.txt"
-    expected.write_text(text)
-    out = tmp_path / "out" / "written.txt"
-    tracemalloc.start()
-    try:
-        _write_text_atomic(out, text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # encoding the whole text at once would take 16 MB
-    assert peak < 4 * 2**20
-    assert out.read_bytes() == expected.read_bytes()
-    assert list(out.parent.iterdir()) == [out]
 
 
 def _seeded_io(tmp_path, seed):

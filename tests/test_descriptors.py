@@ -57,19 +57,19 @@ class TestDescriptorConfig:
 class TestDescriptorHistogram:
     def test_requires_256_bins(self):
         with pytest.raises(ValueError):
-            DescriptorHistogram(np.zeros(255), "lbp")
+            DescriptorHistogram(np.zeros(255))
 
     def test_rejects_negative_bins(self):
         bins = np.zeros(256)
         bins[3] = -1
         with pytest.raises(ValueError):
-            DescriptorHistogram(bins, "wld")
+            DescriptorHistogram(bins)
 
     def test_total(self):
         bins = np.zeros(256)
         bins[10] = 4
         bins[200] = 2
-        assert DescriptorHistogram(bins, "lbp").bins.sum() == 6
+        assert DescriptorHistogram(bins).bins.sum() == 6
 
 
 def single_vote(hist: DescriptorHistogram) -> int:
@@ -335,5 +335,5 @@ class TestStackParity:
         bins = np.zeros((3, 256))
         bins[1, 5] = -1
         with pytest.raises(ValueError, match="finite and non-negative"):
-            DescriptorHistogram(bins, "lbp")
-        assert DescriptorHistogram(np.ones((3, 256)), "wld").bins.sum() == 768
+            DescriptorHistogram(bins)
+        assert DescriptorHistogram(np.ones((3, 256))).bins.sum() == 768

@@ -225,14 +225,6 @@ class TestRunEval:
         report = run_eval(permuted, KnnConfig(k=1), EvalConfig(folds=3, seed=5))
         assert report.mean_accuracy == 1.0
 
-    def test_csv_rows(self):
-        ds = duplicate_vector_dataset()
-        report = run_eval(ds, KnnConfig(k=1), EvalConfig(folds=3, seed=5))
-        rows = report.to_csv_rows()
-        assert rows[0] == "fold,accuracy,macro_f1"
-        assert len(rows) == 5
-        assert rows[-1].startswith("aggregate,")
-
 
 @st.composite
 def eval_reports(draw):

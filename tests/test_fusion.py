@@ -112,8 +112,8 @@ def per_record_dataset(table, strategy):
     strategy = FusionStrategy(strategy)
     vectors = []
     for i, (lbp, wld) in enumerate(zip(table.lbp, table.wld)):
-        lbp = DescriptorHistogram(lbp, "lbp").bins
-        wld = DescriptorHistogram(wld, "wld").bins
+        lbp = DescriptorHistogram(lbp).bins
+        wld = DescriptorHistogram(wld).bins
         try:
             vectors.append(fuse_ref(lbp, wld, strategy))
         except (DegenerateProduct, EmptyHistogram) as exc:

@@ -204,6 +204,22 @@ def test_writer_matches_json_dumps(table):
     assert records_to_jsonl(table) == jsonl_ref(table)
 
 
+def table_rows(table, start, stop):
+    """Rows ``start:stop`` of ``table`` as a table of their own."""
+    columns = (table.label, table.source_id, table.onset_index, table.lbp, table.wld)
+    return FeatureTable(*(column[start:stop] for column in columns))
+
+
+@settings(max_examples=40, deadline=None)
+@given(feature_tables(), st.data())
+def test_writer_text_joins_over_any_split_of_the_rows(table, data):
+    # cuts may repeat or fall at either end, so some slices may be empty
+    cuts = data.draw(st.lists(st.integers(0, len(table)), max_size=6))
+    bounds = [0, *sorted(cuts), len(table)]
+    slices = [table_rows(table, a, b) for a, b in zip(bounds, bounds[1:])]
+    assert "".join(map(records_to_jsonl, slices)) == records_to_jsonl(table)
+
+
 def table_state(table):
     """Everything a FeatureTable holds, comparable with ==."""
     return (
