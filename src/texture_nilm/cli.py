@@ -49,12 +49,20 @@ def _err(message: str) -> None:
 
 @contextmanager
 def _atomic_file(path: Path):
-    """A text file that replaces ``path`` if the block succeeds, else is removed."""
+    """A text file that replaces ``path`` if the block succeeds, else is removed.
+
+    A ``path`` that exists and is not a regular file, such as a device or a
+    FIFO, is written in place and never replaced.
+    """
+    # "\n" ends each line on every platform, as the dump reader reads them
+    if path.exists() and not path.is_file():
+        with path.open("w", newline="\n") as f:
+            yield f
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        # opened as Path.write_text opens it, so the bytes are the same
-        with tmp.open("w") as f:
+        with tmp.open("w", newline="\n") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -186,105 +186,80 @@ def records_to_jsonl(table: FeatureTable) -> str:
     )
 
 
-# the fields of a dump line in the writer's layout; re-encoding checks the rest
+# a JSON string as the writer escapes it, and the fields of a dump line in the
+# writer's layout; re-encoding checks the rest
+_STRING = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _FIELDS = re.compile(
-    r'\{"label":"([^"\\]*)","lbp":\[([0-9,]*)\],"onset_index":([0-9]{1,19}),'
-    r'"source_id":"([^"\\]*)","wld":\[([0-9,]*)\]\}\n'
+    r'\{"label":' + _STRING + r',"lbp":\[([0-9,]*)\],"onset_index":([0-9]+),'
+    r'"source_id":' + _STRING + r',"wld":\[([0-9,]*)\]\}\n'
 )
 
 
-def _parse_canonical(text: str) -> FeatureTable | None:
-    """The table of a dump that ``records_to_jsonl`` writes byte for byte, else None.
-
-    Each stack of lines is parsed loosely, then kept only if the writer turns
-    it back into exactly its text. The stacks' narrowed tables are joined at
-    the end, so no int64 column of the whole dump is built.
-    """
-    stacks = []
-    matches, start = _FIELDS.finditer(text), 0
-    while fields := list(islice(matches, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS))):
-        columns = []
-        for group in (2, 5):
-            joined = ",".join(f[group] for f in fields)
-            # np.fromstring stops at an empty count
-            counts = None if ",," in f",{joined}," else np.fromstring(joined, np.int64, sep=",")
-            if counts is None or counts.size != len(fields) * HISTOGRAM_BINS:
-                return None
-            columns.append(counts.reshape(len(fields), HISTOGRAM_BINS))
-        provenance = ([f[1] for f in fields], [f[4] for f in fields], [int(f[3]) for f in fields])
-        stack = FeatureTable(*provenance, *columns)
-        encoded, end = records_to_jsonl(stack), fields[-1].end()
-        # compared in place, as a copy of the stack's text would raise the peak RSS
-        if len(encoded) != end - start or not text.startswith(encoded, start):
+def _parse_stack(text: str, start: int, fields: list[re.Match]) -> FeatureTable | None:
+    """The table of ``fields``, matched from ``start`` on, if ``records_to_jsonl``
+    turns it back into exactly their text, else None."""
+    columns = []
+    for group in (2, 5):
+        joined = ",".join(f[group] for f in fields)
+        # np.fromstring stops at an empty count
+        counts = None if ",," in f",{joined}," else np.fromstring(joined, np.int64, sep=",")
+        if counts is None or counts.size != len(fields) * HISTOGRAM_BINS:
             return None
-        stacks.append(stack)
-        start = end
-    if start != len(text):
+        columns.append(counts.reshape(len(fields), HISTOGRAM_BINS))
+    labels, sources = [f[1] for f in fields], [f[4] for f in fields]
+    try:
+        # each distinct escaped string is decoded once
+        names = {s: json.loads(f'"{s}"') if "\\" in s else s for s in {*labels, *sources}}
+        onsets = [int(f[3]) for f in fields]
+    except ValueError:  # a bad escape, or an onset past int()'s limit on digits
         return None
-    return FeatureTable.joined(stacks)
+    stack = FeatureTable([names[s] for s in labels], [names[s] for s in sources], onsets, *columns)
+    encoded, end = records_to_jsonl(stack), fields[-1].end()
+    # compared in place, as a copy of the stack's text would raise the peak RSS
+    if len(encoded) != end - start or not text.startswith(encoded, start):
+        return None
+    return stack
+
+
+def _first_bad_line(text: str, pos: int, lineno: int) -> int:
+    """The number of the first line from ``pos`` on (line ``lineno``) that the
+    writer would not write; only "\\n" ends a line."""
+    end = text.find("\n", pos) + 1
+    while end and (line := _FIELDS.fullmatch(text, pos, end)):
+        if _parse_stack(text, pos, [line]) is None:
+            break
+        pos, lineno, end = end, lineno + 1, text.find("\n", end) + 1
+    return lineno
 
 
 def load_records(path: str | Path) -> FeatureTable:
-    """Parse a feature dump written by ``records_to_jsonl``.
+    """Parse a feature dump as ``records_to_jsonl`` writes it, and nothing else.
 
-    A dump in the writer's exact format is parsed a stack of lines at a time;
-    any other is read line by line with ``json.loads``, which also names the
-    first bad line.
+    The dump is parsed a stack of lines at a time, and a stack is kept only if
+    the writer turns it back into exactly its text. The stacks' narrowed tables
+    are joined at the end, so no int64 column of the whole dump is built. Any
+    other text raises MalformedCsv naming the first line the writer would not
+    write; no partial table is returned.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        # newline="" keeps each "\r", so only text the writer writes is read back
+        with path.open(newline="") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not readable as text: {exc}") from None
-    table = _parse_canonical(text)
-    return table if table is not None else _parse_lines(path, text)
-
-
-def _parse_lines(path: Path, text: str) -> FeatureTable:
-    """Parse any dump one ``json.loads`` per line, validating every record."""
-    lines = text.splitlines()
-    labels, sources, onsets = [], [], []
-    # a record's two histograms of 256 counts take more than 4 characters a bin
-    most = min(len(lines), len(text) // (4 * HISTOGRAM_BINS)) + 1
-    lbp, wld = np.empty((2, most, HISTOGRAM_BINS), dtype=np.int64)
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedCsv(f"{path}: line {lineno}: not valid JSON: {exc}") from exc
-        except ValueError as exc:  # an integer past Python's limit on digits
-            raise MalformedCsv(f"{path}: line {lineno}: unreadable number: {exc}") from exc
-        try:
-            label, source, onset = obj["label"], obj["source_id"], obj["onset_index"]
-            hist = {"lbp": np.asarray(obj["lbp"]), "wld": np.asarray(obj["wld"])}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedCsv(f"{path}: line {lineno}: bad record: {exc}") from exc
-        if not (isinstance(label, str) and isinstance(source, str)):
-            raise MalformedCsv(f"{path}: line {lineno}: label and source_id must be strings")
-        # bool is a subclass of int, so JSON true must be ruled out by type
-        if type(onset) is not int or onset < 0:
-            raise MalformedCsv(
-                f"{path}: line {lineno}: onset_index must be a non-negative integer"
-            )
-        for kind, bins in hist.items():
-            if bins.shape != (HISTOGRAM_BINS,):
-                raise MalformedCsv(
-                    f"{path}: line {lineno}: histograms must have {HISTOGRAM_BINS} bins"
-                )
-            # a list of JSON integers that all fit decodes to int64; a float,
-            # a string or an out-of-range integer anywhere gives another dtype
-            if bins.dtype != np.int64 or bins.min() < 0:
-                raise MalformedCsv(
-                    f"{path}: line {lineno}: {kind} counts must be "
-                    "non-negative integers that fit in int64"
-                )
-        lbp[len(labels)], wld[len(labels)] = hist["lbp"], hist["wld"]
-        labels.append(label)
-        sources.append(source)
-        onsets.append(onset)
-    return FeatureTable(labels, sources, onsets, lbp[: len(labels)], wld[: len(labels)])
+    stacks, start = [], 0
+    matches = _FIELDS.finditer(text)
+    while start < len(text):
+        fields = list(islice(matches, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS)))
+        stack = _parse_stack(text, start, fields)
+        if stack is None:
+            # each kept record is one line
+            line = _first_bad_line(text, start, 1 + sum(map(len, stacks)))
+            raise MalformedCsv(f"{path}: line {line}: not a record as extract writes it")
+        stacks.append(stack)
+        start = fields[-1].end()
+    return FeatureTable.joined(stacks)
 
 
 def dataset_from_records(
