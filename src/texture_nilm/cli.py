@@ -17,7 +17,8 @@ import dataclasses
 import json
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .pipeline import (
     load_records,
     records_to_jsonl,
 )
+from .signals import PowerSignal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,15 +84,18 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _resolve_signals(cfg: PipelineConfig):
+def _signals(cfg: PipelineConfig) -> Iterator[PowerSignal]:
+    """The config's signals in (label, source_id) order, one at a time.
+
+    A synthetic signal is generated only when it is taken, and a loaded corpus
+    lets go of each recording as it hands it on.
+    """
     if cfg.io.input_root is not None:
-        return load_dataset(cfg.io.input_root, cfg.io.sampling_rate_hz)
-    return generate(cfg.io.synth)
-
-
-def _extract(cfg: PipelineConfig) -> list[FeatureTable]:
-    # handed over as an iterator, so each signal is freed once its windows are cut
-    return extract_records(iter(_resolve_signals(cfg)), cfg.detector, cfg.descriptor)
+        queue = deque(load_dataset(cfg.io.input_root, cfg.io.sampling_rate_hz))
+        return (queue.popleft() for _ in range(len(queue)))
+    synth = cfg.io.synth
+    count = len(synth.classes) * synth.signals_per_class
+    return (generate(synth, slice(i, i + 1))[0] for i in range(count))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -105,16 +110,29 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _NoEvents(Exception):
+    """Extraction described no window, so no dump is written."""
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    stacks = _extract(cfg)
-    if not stacks:
+    out = Path(args.out) if args.out else Path(cfg.io.output) / "features.jsonl"
+    signals = _signals(cfg)
+    counts = Counter()
+    try:
+        with _atomic_file(out) as f:
+
+            def write(stack: FeatureTable) -> None:
+                f.write(records_to_jsonl(stack))
+                counts.update(stack.label)
+
+            # each stack is written as soon as it is described, and not kept
+            extract_records(signals, cfg.detector, cfg.descriptor, emit=write)
+            if not counts:
+                raise _NoEvents
+    except _NoEvents:
         _err("no events detected in any signal")
         return EXIT_NO_EVENTS
-    out = Path(args.out) if args.out else Path(cfg.io.output) / "features.jsonl"
-    with _atomic_file(out) as f:
-        f.writelines(records_to_jsonl(stack) for stack in stacks)
-    counts = Counter(label for stack in stacks for label in stack.label)
     for label in sorted(counts):
         print(f"class={label} windows={counts[label]}")
     print(f"total={counts.total()} dump={out}")
@@ -125,7 +143,7 @@ def _records_for_eval(cfg: PipelineConfig):
     dump = Path(cfg.io.output) / "features.jsonl"
     if dump.is_file():
         return load_records(dump)
-    return FeatureTable.joined(_extract(cfg))
+    return FeatureTable.joined(extract_records(_signals(cfg), cfg.detector, cfg.descriptor))
 
 
 def _single_report_doc(cfg: PipelineConfig, report: EvalReport) -> dict:

@@ -36,6 +36,7 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -379,16 +380,17 @@ def load_dataset(
     The appliance label is the directory name. The sampling rate is inferred
     from the median timestamp delta unless ``sampling_rate_hz`` overrides it
     (high-rate corpora often ship sample indices instead of wall-clock times).
-    Output is sorted by (label, file name) for determinism, and a bad file
-    raises the error of the first failing file in that order.
+    Output is in (label, source_id) order, that is by directory name and then
+    by file stem, and a bad file raises the error of the first failing file
+    in that order.
     """
     root = Path(root)
     if not root.is_dir():
         raise EmptyDataset(f"{root} is not a directory")
     tasks = [
         (path, class_dir.name, sampling_rate_hz)
-        for class_dir in sorted(p for p in root.iterdir() if p.is_dir())
-        for path in sorted(class_dir.glob("*.csv"))
+        for class_dir in sorted((p for p in root.iterdir() if p.is_dir()), key=lambda p: p.name)
+        for path in sorted(class_dir.glob("*.csv"), key=lambda p: p.stem)
     ]
     if not tasks:
         raise EmptyDataset(f"no recordings found under {root}")
@@ -592,21 +594,37 @@ class SynthConfig:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
 
 
-def generate(cfg: SynthConfig) -> list[PowerSignal]:
+def _source_id(label: str, index: int) -> str:
+    return f"{label}_{index:03d}"
+
+
+@lru_cache(maxsize=8)
+def _key_order(cfg: SynthConfig) -> tuple[int, ...]:
+    """Every signal's spawn index, in (label, source_id) order.
+
+    Signal j of class i has spawn index ``i * signals_per_class + j``. The
+    order is sorted once per config, however many parts are generated.
+    """
+    n = cfg.signals_per_class
+    keys = [(label, _source_id(label, j)) for label in cfg.classes for j in range(n)]
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def generate(cfg: SynthConfig, part: slice = slice(None)) -> list[PowerSignal]:
     """Generate a labeled synthetic corpus, deterministically in the seed.
 
-    Each signal gets its own child generator spawned from the config seed, so
-    the sequence for signal (class i, index j) never depends on how many draws
-    another archetype consumed. All signals are emitted at 1 Hz.
+    The signals come in (label, source_id) order, and ``part`` picks a slice
+    of that order, so a caller can generate them one at a time. Each signal
+    gets its own child generator, the one ``SeedSequence(cfg.seed).spawn``
+    gives its spawn index, so the sequence for signal (class i, index j)
+    never depends on how many draws another archetype consumed or on which
+    part is generated. All signals are emitted at 1 Hz.
     """
-    children = np.random.SeedSequence(cfg.seed).spawn(
-        len(cfg.classes) * cfg.signals_per_class
-    )
+    n = cfg.signals_per_class
     signals = []
-    for ci, cls in enumerate(cfg.classes):
-        make = _ARCHETYPE_FUNCS[cls]
-        for si in range(cfg.signals_per_class):
-            rng = np.random.default_rng(children[ci * cfg.signals_per_class + si])
-            samples = make(rng, cfg.signal_len, cfg.noise_sigma)
-            signals.append(PowerSignal(samples, 1.0, cls, f"{cls}_{si:03d}"))
+    for i in _key_order(cfg)[part]:
+        label = cfg.classes[i // n]
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        samples = _ARCHETYPE_FUNCS[label](rng, cfg.signal_len, cfg.noise_sigma)
+        signals.append(PowerSignal(samples, 1.0, label, _source_id(label, i % n)))
     return signals

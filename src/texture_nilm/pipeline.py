@@ -1,8 +1,10 @@
 """End-to-end wiring behind the CLI commands.
 
-Extraction describes windows a stack at a time into one :class:`FeatureTable`
-per stack, of labels, provenance and raw 256-bin histograms, one row per window;
-a signal nobody else holds is freed once its windows are cut.
+Extraction takes signals in (label, source_id) order, one at a time, and
+describes their windows a stack at a time into one :class:`FeatureTable` per
+stack, of labels, provenance and raw 256-bin histograms, one row per window.
+Each stack is handed on as soon as it is described, so a caller that makes
+signals lazily and writes each stack out holds one signal and one stack.
 Each histogram column keeps non-negative integer counts below 2**32 in the
 narrowest unsigned type that holds its largest count (uint8, uint16 or uint32),
 and any other column as it is. The feature dump stores the stacks one after
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -55,6 +57,8 @@ class FeatureTable:
     Each column is stored as :func:`_narrow` returns it, so the same counts get
     the same dtype however the table was built: uint8 for 8x8 grids, whose 36
     interior cells bound every count, and int64 for counts of 2**32 or more.
+    A uint64 column with a count past int64 raises ValueError naming it, since
+    the dump reader reads counts as int64.
     """
 
     label: list[str]
@@ -64,8 +68,11 @@ class FeatureTable:
     wld: np.ndarray
 
     def __post_init__(self) -> None:
-        self.lbp = _narrow(self.lbp)
-        self.wld = _narrow(self.wld)
+        for name in ("lbp", "wld"):
+            bins = getattr(self, name)
+            if bins.dtype == np.uint64 and bins.size and int(bins.max()) >= 1 << 63:
+                raise ValueError(f"{name} holds a count of 2**63 or more, past int64")
+            setattr(self, name, _narrow(bins))
 
     def __len__(self) -> int:
         return len(self.label)
@@ -91,36 +98,47 @@ def _extract_one(signal: PowerSignal, detector: EventDetectorConfig) -> list[Eve
     return detect_events(impute_zeros(signal), detector)
 
 
-def _cut(pending: list[PowerSignal], detector: EventDetectorConfig):
-    """``(label, source_id, window)`` of every window of the signals popped off
-    ``pending``; a popped signal is held by its ``_extract_one`` call alone."""
-    while pending:
-        label, source_id = pending[-1].label, pending[-1].source_id
-        yield from ((label, source_id, w) for w in _extract_one(pending.pop(), detector))
+def _cut(signals: Iterable[PowerSignal], detector: EventDetectorConfig):
+    """``(label, source_id, window)`` of every window of ``signals``, which
+    must come in (label, source_id) order; a signal is held here only until
+    the next one is taken."""
+    last = None
+    for signal in signals:
+        key = (signal.label, signal.source_id)
+        if last is not None and key < last:
+            raise ValueError(
+                f"signals are not in (label, source_id) order: {last} came before {key}"
+            )
+        last = key
+        yield from ((*key, w) for w in _extract_one(signal, detector))
 
 
 def extract_records(
     signals: Iterable[PowerSignal],
     detector: EventDetectorConfig,
     descriptor: DescriptorConfig,
+    *,
+    emit: Callable[[FeatureTable], object] | None = None,
 ) -> list[FeatureTable]:
     """Run repair, event detection and both descriptors over a corpus.
 
     One table per stack of ``CHUNK_SAMPLES // window_len`` windows (the last may
-    be short), with signals in (label, source_id) order and their windows in
-    onset order, so the output does not depend on the order of ``signals``. The
-    first window whose range overflows float64 raises RangeOverflow.
+    be short), with the signals in the order given and their windows in onset
+    order. Signals out of (label, source_id) order raise ValueError naming the
+    first pair out of order, and the first window whose range overflows
+    float64 raises RangeOverflow.
 
-    A signal nobody else holds is freed once its windows are cut. A list
-    passed in stays referenced until the call returns, so hand a corpus over
-    as ``iter(corpus)``: ``sorted`` exhausts the iterator, and an exhausted
-    list iterator lets go of its list.
+    Each stack goes to ``emit`` as soon as it is described and is not kept
+    here; without ``emit`` the stacks are returned in a list. Each signal is
+    taken from ``signals`` only when extraction reaches it, so a generator
+    that makes its signals lazily, or lets go of them as it hands them on,
+    holds one signal at a time.
     """
-    pending = sorted(signals, key=lambda s: (s.label, s.source_id))
-    pending.reverse()  # popped from the end, so equal keys keep their sorted order
-    cut = _cut(pending, detector)
+    cut = _cut(signals, detector)
     step = max(1, CHUNK_SAMPLES // detector.window_len)
     stacks = []
+    emit = stacks.append if emit is None else emit
+    described = 0
     while chunk := list(islice(cut, step)):
         labels, sources, windows = map(list, zip(*chunk))
         onsets = [w.onset_index for w in windows]
@@ -128,11 +146,12 @@ def extract_records(
             matrices = reshape(np.stack([w.samples for w in windows]))
         except RangeOverflow as exc:
             where = _where(labels[exc.row], sources[exc.row], onsets[exc.row])
-            raise RangeOverflow(f"{exc} ({where})", len(stacks) * step + exc.row) from None
+            raise RangeOverflow(f"{exc} ({where})", described + exc.row) from None
         # narrowed here, so each int64 column is freed before the next histogram is computed
         lbp = _narrow(lbp_histogram(matrices).bins)
         wld = _narrow(wld_histogram(matrices, descriptor).bins)
-        stacks.append(FeatureTable(labels, sources, onsets, lbp, wld))
+        emit(FeatureTable(labels, sources, onsets, lbp, wld))
+        described += len(chunk)
     return stacks
 
 

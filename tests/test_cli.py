@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import random
 import shutil
 import stat
 import threading
@@ -53,6 +52,9 @@ SMALL_GRID_FEATURES_SHA256 = {
     2.0: "8f1f4d5c0a848c7ab80d1d73c36130c2600064efd71eb6db8d6b00cad389d884",
     0.0: "9f14d5bb9a36cfd3c548ef44065242af018fea6e7db9d98e04468c43fc9989a0",
 }
+
+# features.jsonl of a one-class corpus of recordings a.csv and a-b.csv: 17 windows
+STEM_ORDER_FEATURES_SHA256 = "94490d747cf986db919b3a839e7a8fa7f27d646cff58d1d1b9a4445a8f785484"
 
 
 def corpus_hashes(root):
@@ -399,6 +401,36 @@ class TestExtractCommand:
         assert not (tmp_path / "out" / "features.jsonl").exists()
         assert not list(tmp_path.glob("**/*.tmp"))
 
+    def test_no_events_keeps_the_old_dump(self, tmp_path, capsys):
+        corpus = write_flat_corpus(tmp_path / "corpus")
+        cfg = write_config(
+            tmp_path / "c.json",
+            io={"output": str(tmp_path / "out"), "input_root": str(corpus)},
+        )
+        dump = tmp_path / "out" / "features.jsonl"
+        dump.parent.mkdir()
+        dump.write_bytes(b"an earlier dump\n")
+        assert main(["extract", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == "error: no events detected in any signal\n"
+        assert dump.read_bytes() == b"an earlier dump\n"
+        assert not list(tmp_path.glob("**/*.tmp"))
+
+    def test_recordings_of_a_class_come_in_file_stem_order(self, tmp_path):
+        # file name "a-b.csv" sorts before "a.csv", but stem "a" before "a-b"
+        heater = tmp_path / "corpus" / "heater"
+        heater.mkdir(parents=True)
+        for name, period in (("a", 20), ("a-b", 24)):
+            rows = [f"{t},{100.0 if t // period % 2 else 900.0}" for t in range(200)]
+            (heater / f"{name}.csv").write_text("\n".join(["timestamp,power_w", *rows]) + "\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            detector={"delta_watts": 15.0, "steady_len": 5, "window_len": 16},
+            io={"output": str(tmp_path / "out"), "input_root": str(tmp_path / "corpus")},
+        )
+        assert main(["extract", "--config", str(cfg)]) == 0
+        # as commit ad2cfd3, which sorted the signals itself, wrote the dump
+        assert sha(tmp_path / "out" / "features.jsonl") == STEM_ORDER_FEATURES_SHA256
+
     def test_failed_stack_write_keeps_the_old_dump(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -482,17 +514,18 @@ class TestExtractCommand:
         assert "label 'heater', source_id 'rec_0', onset 36" in err
         assert not (tmp_path / "out" / "features.jsonl").exists()
 
-    def test_signal_order_does_not_change_output(self):
+    def test_out_of_order_signals_are_refused(self):
         signals = generate(SynthConfig(signals_per_class=3, signal_len=1024, seed=5))
-        shuffled = list(signals)
-        random.Random(3).shuffle(shuffled)
-        assert [s.source_id for s in shuffled] != [s.source_id for s in signals]
+        keys = [(s.label, s.source_id) for s in signals]
+        assert keys == sorted(keys)
+        # two pairs swapped; the first one is named
+        swapped = signals[:2] + [signals[3], signals[2]] + signals[4:9] + [signals[10], signals[9]]
         detector = EventDetectorConfig(window_len=256)
-        dumps = [
-            records_to_jsonl(FeatureTable.joined(extract_records(b, detector, DescriptorConfig())))
-            for b in (signals, shuffled)
-        ]
-        assert dumps[0] and dumps[1] == dumps[0]
+        with pytest.raises(ValueError) as caught:
+            extract_records(swapped, detector, DescriptorConfig())
+        assert str(caught.value) == (
+            f"signals are not in (label, source_id) order: {keys[3]} came before {keys[2]}"
+        )
 
 
 class TestSignalSource:

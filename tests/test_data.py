@@ -37,6 +37,16 @@ class TestLoadDataset:
         assert [s.label for s in signals] == ["fridge"] * 3 + ["kettle"] * 3
         assert [s.source_id for s in signals[:3]] == ["rec_0", "rec_1", "rec_2"]
 
+    def test_recordings_come_in_source_id_order(self, tmp_path):
+        # by file name "a-b.csv" would come before "a.csv", and "x-y.csv"
+        # before "x.csv"; by stem "a" comes before "a-b", and "x" before "x-y"
+        for name in ("a-b", "a", "x_y", "x-y", "x"):
+            write_recording(tmp_path / "tv" / f"{name}.csv", [f"{t},50.0" for t in range(3)])
+        write_recording(tmp_path / "tv-b" / "a.csv", [f"{t},50.0" for t in range(3)])
+        keys = [(s.label, s.source_id) for s in load_dataset(tmp_path)]
+        assert keys == sorted(keys)
+        assert [source for _, source in keys] == ["a", "a-b", "x", "x-y", "x_y", "a"]
+
     def test_one_hertz_rate_inferred(self, tmp_path):
         write_recording(
             tmp_path / "tv" / "day1.csv", [f"{1600000000 + t},{50.0}" for t in range(10)]
@@ -147,6 +157,38 @@ class TestGenerate:
             assert a.label == b.label
             assert a.source_id == b.source_id
             assert np.array_equal(a.samples, b.samples)
+
+    def test_signals_come_in_label_and_source_id_order(self):
+        # classes out of order, and source ids past 999: "x_1000" < "x_101"
+        cfg = SynthConfig(
+            classes=("staircase", "duty_cycled"), signals_per_class=1001, signal_len=16, seed=3
+        )
+        signals = generate(cfg)
+        keys = [(s.label, s.source_id) for s in signals]
+        assert keys == sorted(keys)
+        assert keys[:2] == [("duty_cycled", "duty_cycled_000"), ("duty_cycled", "duty_cycled_001")]
+        assert keys[1001] == ("staircase", "staircase_000")
+        assert keys.index(("staircase", "staircase_1000")) < keys.index(("staircase", "staircase_101"))
+
+    def test_a_part_is_that_slice_of_the_corpus(self):
+        whole = generate(self.CFG)
+        parts = [generate(self.CFG, slice(i, i + 1)) for i in range(len(whole))]
+        parts.append(generate(self.CFG, slice(4, 11, 3)))
+        expected_parts = [whole[i : i + 1] for i in range(len(whole))] + [whole[4:11:3]]
+        for part, expected in zip(parts, expected_parts):
+            assert [(s.label, s.source_id) for s in part] == [(s.label, s.source_id) for s in expected]
+            assert all(np.array_equal(a.samples, b.samples) for a, b in zip(part, expected))
+
+    def test_each_signal_draws_from_its_spawned_child(self):
+        from texture_nilm.data import _ARCHETYPE_FUNCS
+
+        n = self.CFG.signals_per_class
+        children = np.random.SeedSequence(self.CFG.seed).spawn(len(self.CFG.classes) * n)
+        for signal in generate(self.CFG):
+            i = self.CFG.classes.index(signal.label) * n + int(signal.source_id[-3:])
+            rng = np.random.default_rng(children[i])
+            samples = _ARCHETYPE_FUNCS[signal.label](rng, self.CFG.signal_len, self.CFG.noise_sigma)
+            assert np.array_equal(signal.samples, samples)
 
     def test_different_seeds_differ(self):
         import dataclasses

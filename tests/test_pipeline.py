@@ -99,9 +99,11 @@ def test_extraction_lets_go_of_each_signal_once_it_is_cut(monkeypatch):
         FeatureTable.joined(extract_records(corpus, detector, DescriptorConfig()))
     )
     refs = [weakref.ref(s) for s in corpus]
-    # handed over as an iterator, so neither this frame nor the call holds the list
-    signals = iter(corpus)
-    del corpus
+    n = len(refs)
+    # a generator that lets go of each signal as it hands it on; a list, or an
+    # iterator over one, would keep every signal until the call returns
+    corpus.reverse()
+    signals = (corpus.pop() for _ in range(n))
     alive = []
     extract_one = pipeline._extract_one
 
@@ -111,12 +113,44 @@ def test_extraction_lets_go_of_each_signal_once_it_is_cut(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_extract_one", spy)
     stacks = extract_records(signals, detector, DescriptorConfig())
-    n = len(refs)
-    assert len(alive) == n
     # at the j-th cut, the j signals cut before it are gone
-    assert [min(count, n - j) for j, count in enumerate(alive)] == alive
+    assert alive == [n - j for j in range(n)]
     assert all(ref() is None for ref in refs)
     assert records_to_jsonl(FeatureTable.joined(stacks)) == expected
+
+
+def test_emitted_stacks_are_the_returned_stacks(monkeypatch):
+    signals = generate(CONFTEST_SYNTH)
+    detector = EventDetectorConfig(window_len=16)
+    monkeypatch.setattr(pipeline, "CHUNK_SAMPLES", 3 * 16)
+    returned = extract_records(signals, detector, DescriptorConfig())
+    emitted = []
+    assert extract_records(signals, detector, DescriptorConfig(), emit=emitted.append) == []
+    assert len(emitted) == len(returned) > 1
+    assert [table_state(t) for t in emitted] == [table_state(t) for t in returned]
+
+
+def test_cli_extract_holds_one_generated_signal_at_each_cut(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path / "c.json", detector={"delta_watts": 15.0, "steady_len": 5, "window_len": 16}
+    )
+    refs, alive = [], []
+    extract_one = pipeline._extract_one
+
+    def spy_generate(*args):
+        signals = generate(*args)
+        refs.extend(weakref.ref(s) for s in signals)
+        return signals
+
+    def spy_cut(signal, detector):
+        alive.append(sum(ref() is not None for ref in refs))
+        return extract_one(signal, detector)
+
+    monkeypatch.setattr(cli, "generate", spy_generate)
+    monkeypatch.setattr(pipeline, "_extract_one", spy_cut)
+    assert cli.main(["extract", "--config", str(cfg)]) == 0
+    assert len(refs) == len(CONFTEST_SYNTH.classes) * CONFTEST_SYNTH.signals_per_class
+    assert alive == [1] * len(refs)
 
 
 def test_writer_matches_json_dumps_on_any_counts_and_strings(tmp_path):
@@ -466,6 +500,25 @@ def test_narrow_keeps_what_it_cannot_narrow(bins):
     assert FeatureTable([], [], [], bins, bins).lbp is bins
 
 
+@pytest.mark.parametrize("name", ["lbp", "wld"])
+def test_a_uint64_count_past_int64_is_refused(name):
+    # the dump reader reads counts as int64, so such a table could not be read back
+    columns = {kind: np.ones((1, 256), dtype=np.uint64) for kind in ("lbp", "wld")}
+    columns[name][0, 7] = 2**63
+    with pytest.raises(ValueError, match=rf"^{name} holds a count of 2\*\*63 or more"):
+        FeatureTable(["c"], ["s"], [0], columns["lbp"], columns["wld"])
+
+
+def test_the_largest_int64_count_round_trips(tmp_path):
+    lbp = np.ones((1, 256), dtype=np.int64)
+    lbp[0, 7] = 2**63 - 1
+    table = FeatureTable(["c"], ["s"], [0], lbp, np.ones((1, 256), dtype=np.uint64))
+    assert table.lbp.dtype == np.int64
+    dump = tmp_path / "features.jsonl"
+    dump.write_text(records_to_jsonl(table))
+    assert table_state(load_records(dump)) == table_state(table)
+
+
 # a corpus of about 1,600 windows of 8x8 grids (36 interior cells)
 DENSE_SYNTH = SynthConfig(
     classes=(
@@ -541,3 +594,13 @@ def test_extract_frees_each_signal_once_it_is_cut(tmp_path):
     # peaked at 13.9 MB (on the 16,210 windows of dense-events: peak RSS 56 MB
     # against 71 MB)
     assert peak < 11.5 * 2**20
+
+
+def test_extract_streams_signals_in_and_stacks_out(tmp_path):
+    cfg = dense_config(tmp_path)
+    code, peak = traced_peak(partial(cli.main, ["extract", "--config", str(cfg)]))
+    assert code == 0
+    # measured 3.5 MiB, generating each signal when it is cut and writing each
+    # stack when it is described; generating the corpus at once and keeping
+    # every stack to the end peaked at 9.2 MiB
+    assert peak < 5 * 2**20
