@@ -214,24 +214,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_report_table(doc: dict, indent: str = "") -> None:
-    print(f"{indent}{'fold':>9}  {'accuracy':>9}  {'macro_f1':>9}  {'test_size':>9}")
+def _report_table(doc: dict, indent: str = "") -> list[str]:
+    lines = [f"{indent}{'fold':>9}  {'accuracy':>9}  {'macro_f1':>9}  {'test_size':>9}"]
     for fold in doc["per_fold"]:
-        print(
+        lines.append(
             f"{indent}{fold['fold']:>9}  {fold['accuracy']:>9.4f}  "
             f"{fold['macro_f1']:>9.4f}  {fold['test_size']:>9}"
         )
-    print(
+    lines.append(
         f"{indent}{'aggregate':>9}  {doc['mean_accuracy']:>9.4f}  "
         f"{doc['mean_macro_f1']:>9.4f}  {sum(f['test_size'] for f in doc['per_fold']):>9}"
     )
     labels = doc["class_labels"]
     width = max(len(l) for l in labels)
-    print(f"{indent}confusion (rows=true, cols=predicted):")
+    lines.append(f"{indent}confusion (rows=true, cols=predicted):")
     for label, row in zip(labels, doc["confusion"]):
         cells = " ".join(f"{v:>6}" for v in row)
-        print(f"{indent}  {label:<{width}} {cells}")
-    print(f"{indent}fingerprint={doc['config_fingerprint']} seed={doc['seed']}")
+        lines.append(f"{indent}  {label:<{width}} {cells}")
+    lines.append(f"{indent}fingerprint={doc['config_fingerprint']} seed={doc['seed']}")
+    return lines
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -240,21 +241,24 @@ def cmd_report(args: argparse.Namespace) -> int:
         doc = json.loads(path.read_text())
     except ValueError as exc:  # bad JSON, or text that does not decode
         raise MalformedCsv(f"{path}: not valid JSON: {exc}") from exc
+    # the whole document is rendered before any of it is printed
     try:
         if "strategies" in doc:
+            lines = []
             for name in STRATEGY_NAMES:
-                if name not in doc["strategies"]:
-                    continue
-                print(f"[{name}]")
-                _print_report_table(doc["strategies"][name], indent="  ")
+                if name in doc["strategies"]:
+                    lines += [f"[{name}]", *_report_table(doc["strategies"][name], indent="  ")]
+            if not lines:
+                raise ValueError(f"'strategies' holds none of {', '.join(STRATEGY_NAMES)}")
             ordering = doc.get("ordering", {})
             if ordering:
                 status = "confirmed" if ordering.get("confirmed") else "DEVIATION"
-                print(f"ordering {status}: {ordering.get('observed', '')}")
+                lines.append(f"ordering {status}: {ordering.get('observed', '')}")
         else:
-            _print_report_table(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+            lines = _report_table(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedCsv(f"{path}: not a report file ({exc})") from exc
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -36,7 +36,6 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -418,10 +417,16 @@ def write_corpus(signals: list[PowerSignal], root: str | Path) -> dict[str, int]
 
     Power values are written with full round-trip precision and timestamps as
     integers whenever the sampling step is integral, so loading the corpus
-    back reproduces the exact same signals. If a file cannot be written, every
-    file this call did write is removed again and the error of the first
-    failing file, in (label, source id) order, is raised.
+    back reproduces the exact same signals. A label or source id that is not a
+    single path component (empty, ``.``, ``..``, or holding a path separator)
+    raises ValueError naming it before any file is written. If a file cannot
+    be written, every file this call did write is removed again and the error
+    of the first failing file, in (label, source id) order, is raised.
     """
+    for signal in signals:
+        for name in (signal.label, signal.source_id):
+            if name in ("", ".", "..") or "/" in name or os.sep in name:
+                raise ValueError(f"{name!r} is not a single path component")
     root = Path(root)
     # path -> signal: of two signals with one path only the later is
     # written, as when they were written one after the other
@@ -594,37 +599,25 @@ class SynthConfig:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
 
 
-def _source_id(label: str, index: int) -> str:
-    return f"{label}_{index:03d}"
-
-
-@lru_cache(maxsize=8)
-def _key_order(cfg: SynthConfig) -> tuple[int, ...]:
-    """Every signal's spawn index, in (label, source_id) order.
-
-    Signal j of class i has spawn index ``i * signals_per_class + j``. The
-    order is sorted once per config, however many parts are generated.
-    """
-    n = cfg.signals_per_class
-    keys = [(label, _source_id(label, j)) for label in cfg.classes for j in range(n)]
-    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
-
-
 def generate(cfg: SynthConfig, part: slice = slice(None)) -> list[PowerSignal]:
     """Generate a labeled synthetic corpus, deterministically in the seed.
 
     The signals come in (label, source_id) order, and ``part`` picks a slice
-    of that order, so a caller can generate them one at a time. Each signal
-    gets its own child generator, the one ``SeedSequence(cfg.seed).spawn``
-    gives its spawn index, so the sequence for signal (class i, index j)
-    never depends on how many draws another archetype consumed or on which
-    part is generated. All signals are emitted at 1 Hz.
+    of that order, so a caller can generate them one at a time. Signal j of
+    class i (of ``cfg.classes``) has source id ``<label>_<j>``, j zero-padded
+    to at least 3 digits and to the width of the last index, and draws from
+    the child that ``SeedSequence(cfg.seed).spawn`` gives spawn index
+    ``i * signals_per_class + j``, whatever part is generated. All signals
+    are emitted at 1 Hz.
     """
     n = cfg.signals_per_class
+    width = max(3, len(str(n - 1)))
+    labels = sorted(cfg.classes)
     signals = []
-    for i in _key_order(cfg)[part]:
-        label = cfg.classes[i // n]
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+    for p in range(len(labels) * n)[part]:
+        label, j = labels[p // n], p % n
+        spawn = cfg.classes.index(label) * n + j
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(spawn,)))
         samples = _ARCHETYPE_FUNCS[label](rng, cfg.signal_len, cfg.noise_sigma)
-        signals.append(PowerSignal(samples, 1.0, label, _source_id(label, i % n)))
+        signals.append(PowerSignal(samples, 1.0, label, f"{label}_{j:0{width}d}"))
     return signals

@@ -5,10 +5,9 @@ describes their windows a stack at a time into one :class:`FeatureTable` per
 stack, of labels, provenance and raw 256-bin histograms, one row per window.
 Each stack is handed on as soon as it is described, so a caller that makes
 signals lazily and writes each stack out holds one signal and one stack.
-Each histogram column keeps non-negative integer counts below 2**32 in the
-narrowest unsigned type that holds its largest count (uint8, uint16 or uint32),
-and any other column as it is. The feature dump stores the stacks one after
-another (one JSON object per line); evaluation fuses them joined into one table.
+Each histogram column holds integer counts in [0, 2**32), stored as uint8,
+uint16 or uint32. The feature dump stores the stacks one after another (one
+JSON object per line); evaluation fuses them joined into one table.
 """
 
 from __future__ import annotations
@@ -35,30 +34,26 @@ from .transform2d import reshape
 CHUNK_SAMPLES = 1 << 15
 
 
-def _narrow(bins: np.ndarray) -> np.ndarray:
-    """Non-negative integer counts below 2**32 in the narrowest unsigned type.
+def _narrow(name: str, bins: np.ndarray) -> np.ndarray:
+    """Integer counts in [0, 2**32) in the narrowest of uint8, uint16 and uint32.
 
-    Floats, negative counts, empty arrays and counts of 2**32 or more are
-    returned unchanged. The cap keeps every fused value bitwise the same: a row
-    of 256 narrowed counts sums to less than 2**40 in any integer type.
+    Anything else raises ValueError naming the column. The cap keeps every
+    fused value bitwise the same: a row of 256 counts sums to less than 2**40.
     """
-    if bins.dtype.kind not in "iu" or not bins.size:
-        return bins
-    top = int(bins.max())
-    if top >= 1 << 32 or bins.min() < 0:
-        return bins
-    return bins.astype(np.min_scalar_type(top), copy=False)
+    if bins.dtype.kind in "iu" and bins.min(initial=0) >= 0:
+        top = int(bins.max(initial=0))
+        if top < 1 << 32:
+            return bins.astype(np.min_scalar_type(top), copy=False)
+    raise ValueError(f"{name} must hold integer counts in [0, 2**32)")
 
 
 @dataclass
 class FeatureTable:
     """Extracted windows as columns; ``lbp`` and ``wld`` hold (W, 256) counts.
 
-    Each column is stored as :func:`_narrow` returns it, so the same counts get
-    the same dtype however the table was built: uint8 for 8x8 grids, whose 36
-    interior cells bound every count, and int64 for counts of 2**32 or more.
-    A uint64 column with a count past int64 raises ValueError naming it, since
-    the dump reader reads counts as int64.
+    Each count column is stored as :func:`_narrow` returns it, so the same
+    counts get the same dtype however the table was built. Every column must
+    have one entry or row per label, else ValueError names it.
     """
 
     label: list[str]
@@ -68,19 +63,22 @@ class FeatureTable:
     wld: np.ndarray
 
     def __post_init__(self) -> None:
+        n = len(self.label)
+        if len(self.source_id) != n or len(self.onset_index) != n:
+            raise ValueError(f"source_id and onset_index must have one entry per label ({n})")
         for name in ("lbp", "wld"):
             bins = getattr(self, name)
-            if bins.dtype == np.uint64 and bins.size and int(bins.max()) >= 1 << 63:
-                raise ValueError(f"{name} holds a count of 2**63 or more, past int64")
-            setattr(self, name, _narrow(bins))
+            if bins.shape != (n, HISTOGRAM_BINS):
+                raise ValueError(f"{name} has shape {bins.shape}, not ({n}, {HISTOGRAM_BINS})")
+            setattr(self, name, _narrow(name, bins))
 
     def __len__(self) -> int:
         return len(self.label)
 
     @classmethod
     def joined(cls, stacks: list[FeatureTable]) -> FeatureTable:
-        """The rows of every stack, in order; no stacks give empty int64 columns."""
-        empty = np.empty((0, HISTOGRAM_BINS), dtype=np.int64)
+        """The rows of every stack, in order."""
+        empty = np.empty((0, HISTOGRAM_BINS), dtype=np.uint8)
         return cls(
             [label for t in stacks for label in t.label],
             [source for t in stacks for source in t.source_id],
@@ -148,8 +146,8 @@ def extract_records(
             where = _where(labels[exc.row], sources[exc.row], onsets[exc.row])
             raise RangeOverflow(f"{exc} ({where})", described + exc.row) from None
         # narrowed here, so each int64 column is freed before the next histogram is computed
-        lbp = _narrow(lbp_histogram(matrices).bins)
-        wld = _narrow(wld_histogram(matrices, descriptor).bins)
+        lbp = _narrow("lbp", lbp_histogram(matrices).bins)
+        wld = _narrow("wld", wld_histogram(matrices, descriptor).bins)
         emit(FeatureTable(labels, sources, onsets, lbp, wld))
         described += len(chunk)
     return stacks
@@ -178,9 +176,9 @@ def _format_rows(counts: np.ndarray, decimals: np.ndarray) -> list[str]:
     chars = np.take(decimals, counts, mode="clip").view(np.uint8)
     chars[:, -1] = ord("\n")  # each row's last comma ends its line
     rows = chars.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    # counts past the table, and any negative one, keep their own str()
-    if counts.max(initial=0) > top or counts.min(initial=0) < 0:
-        for i in np.flatnonzero(((counts < 0) | (counts > top)).any(axis=1)).tolist():
+    # counts past the table keep their own str()
+    if counts.max(initial=0) > top:
+        for i in np.flatnonzero((counts > top).any(axis=1)).tolist():
             rows[i] = ",".join(map(str, counts[i].tolist()))
     return rows
 
@@ -230,9 +228,12 @@ def _parse_stack(text: str, start: int, fields: list[re.Match]) -> FeatureTable 
         # each distinct escaped string is decoded once
         names = {s: json.loads(f'"{s}"') if "\\" in s else s for s in {*labels, *sources}}
         onsets = [int(f[3]) for f in fields]
-    except ValueError:  # a bad escape, or an onset past int()'s limit on digits
+        stack = FeatureTable(
+            [names[s] for s in labels], [names[s] for s in sources], onsets, *columns
+        )
+    except ValueError:
+        # a bad escape, an onset past int()'s limit on digits, or a count of 2**32 or more
         return None
-    stack = FeatureTable([names[s] for s in labels], [names[s] for s in sources], onsets, *columns)
     encoded, end = records_to_jsonl(stack), fields[-1].end()
     # compared in place, as a copy of the stack's text would raise the peak RSS
     if len(encoded) != end - start or not text.startswith(encoded, start):

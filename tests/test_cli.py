@@ -5,6 +5,7 @@ import shutil
 import stat
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,16 @@ class TestConfigModule:
             config_from_dict({"io": {"synth": {}}, "classifier": {}})
         with pytest.raises(InvalidConfig):
             config_from_dict({"io": {"synth": {}, "nope": 1}})
+
+    def test_readme_quick_start_config_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        quick_start = readme.split("## Quick start", 1)[1]
+        block = quick_start.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(json.loads(block))
+        assert cfg.detector.window_len == 1024
+        assert cfg.eval.folds == 10
+        assert cfg.io.synth.signals_per_class == 50
+        assert cfg.io.synth.classes == ARCHETYPES
 
     def test_synth_shorter_than_window_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -599,6 +610,15 @@ EVAL_OUTPUTS = {
 }
 
 
+# SHA-256 of the stdout of `report` on the report.json of each EVAL_OUTPUTS
+# case, as commit 40f34e2 printed it
+REPORT_STDOUT_SHA256 = {
+    (11, "all"): "90e998d4821926db9bcd82dc92860ac77655cdbd3330065a8c4301016c5f66a3",
+    (11, "concat"): "69a05c2a9269ad62023c8cabf75bc7d613594a908e2e220b03026f0b8d54307e",
+    (13, "all"): "7202a2b9a56d0fc14fcdc722c439166811461a38d58cbaf40702fc26cff75594",
+}
+
+
 class TestEvalCommand:
     @pytest.mark.parametrize("seed, strategy", sorted(EVAL_OUTPUTS))
     def test_eval_outputs_are_pinned(self, tmp_path, monkeypatch, capsys, seed, strategy):
@@ -724,8 +744,8 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg)]) == 4
 
     @pytest.mark.parametrize(
-        "count", ["-1", "1e30", "1.5", "9223372036854775808"],
-        ids=["negative", "huge_float", "fraction", "over_int64"],
+        "count", ["-1", "1e30", "1.5", "9223372036854775808", "4294967296"],
+        ids=["negative", "huge_float", "fraction", "over_int64", "2**32"],
     )
     def test_bad_dump_count_exits_3(self, tmp_path, capsys, count):
         cfg = write_config(tmp_path / "c.json")
@@ -996,7 +1016,25 @@ def _seeded_io(tmp_path, seed):
     }
 
 
+# a report section that `report` renders
+SECTION = {
+    "per_fold": [{"fold": 0, "accuracy": 1.0, "macro_f1": 1.0, "test_size": 1}],
+    "mean_accuracy": 1.0,
+    "mean_macro_f1": 1.0,
+    "class_labels": ["a"],
+    "confusion": [[1]],
+    "config_fingerprint": "f",
+    "seed": 7,
+}
+
+
 class TestReportCommand:
+    def test_renders_a_section(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"strategies": {"sum": SECTION}, "ordering": {}}))
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "[sum]"
+
     def test_pretty_prints_single_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["eval", "--config", str(cfg)]) == 0
@@ -1030,6 +1068,41 @@ class TestReportCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {bad}: not valid JSON: ") and "decode" in err
+
+    @pytest.mark.parametrize("seed, strategy", sorted(REPORT_STDOUT_SHA256))
+    def test_report_output_is_pinned(self, tmp_path, monkeypatch, capsys, seed, strategy):
+        monkeypatch.chdir(tmp_path)
+        io = {**_seeded_io(tmp_path, seed), "output": "out", "report_csv": "out/folds.csv"}
+        cfg = write_config(tmp_path / "c.json", io=io)
+        assert main(["eval", "--config", str(cfg), "--strategy", strategy]) == 0
+        assert sha(tmp_path / "out" / "report.json") == EVAL_OUTPUTS[seed, strategy][1]
+        capsys.readouterr()
+        assert main(["report", "out/report.json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_STDOUT_SHA256[seed, strategy]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"mean_accuracy": 1.0},
+            {"strategies": {}},
+            {"strategies": {"foo": 1}, "ordering": {"confirmed": True, "observed": "x"}},
+            {"strategies": {"sum": {"per_fold": []}}},
+            [],
+            {"strategies": {"sum": SECTION}, "ordering": 5},
+        ],
+        ids=[
+            "no_per_fold", "no_strategies", "unknown_strategy", "broken_section", "list",
+            "ordering_not_an_object",
+        ],
+    )
+    def test_a_document_it_cannot_render_prints_nothing(self, tmp_path, capsys, doc):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: not a report file (")
 
     def test_json_that_is_not_a_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

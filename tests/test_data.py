@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from texture_nilm import (
     load_dataset,
     write_corpus,
 )
+from texture_nilm.data import _ARCHETYPE_FUNCS
 from texture_nilm.errors import (
     EmptyDataset,
     InvalidConfig,
@@ -148,6 +152,9 @@ class TestSynthConfig:
 
 class TestGenerate:
     CFG = SynthConfig(signals_per_class=3, signal_len=2048, noise_sigma=3.0, seed=99)
+    LARGE = SynthConfig(
+        classes=("staircase", "duty_cycled"), signals_per_class=1001, signal_len=16, seed=3
+    )
 
     def test_deterministic_in_seed(self):
         first = generate(self.CFG)
@@ -159,40 +166,43 @@ class TestGenerate:
             assert np.array_equal(a.samples, b.samples)
 
     def test_signals_come_in_label_and_source_id_order(self):
-        # classes out of order, and source ids past 999: "x_1000" < "x_101"
-        cfg = SynthConfig(
-            classes=("staircase", "duty_cycled"), signals_per_class=1001, signal_len=16, seed=3
-        )
-        signals = generate(cfg)
+        # classes out of order, and 1,001 signals a class: every id takes 4
+        # digits, so the sorted order is still each class in index order
+        signals = generate(self.LARGE)
         keys = [(s.label, s.source_id) for s in signals]
         assert keys == sorted(keys)
-        assert keys[:2] == [("duty_cycled", "duty_cycled_000"), ("duty_cycled", "duty_cycled_001")]
-        assert keys[1001] == ("staircase", "staircase_000")
-        assert keys.index(("staircase", "staircase_1000")) < keys.index(("staircase", "staircase_101"))
+        assert keys[:2] == [("duty_cycled", "duty_cycled_0000"), ("duty_cycled", "duty_cycled_0001")]
+        assert keys[1000:1002] == [("duty_cycled", "duty_cycled_1000"), ("staircase", "staircase_0000")]
+        assert keys[-1] == ("staircase", "staircase_1000")
+        assert [(s.label, s.source_id) for s in generate(self.CFG)] == sorted(
+            (label, f"{label}_{j:03d}") for label in self.CFG.classes for j in range(3)
+        )
 
     def test_a_part_is_that_slice_of_the_corpus(self):
         whole = generate(self.CFG)
         parts = [generate(self.CFG, slice(i, i + 1)) for i in range(len(whole))]
         parts.append(generate(self.CFG, slice(4, 11, 3)))
         expected_parts = [whole[i : i + 1] for i in range(len(whole))] + [whole[4:11:3]]
+        # 1,001 signals a class, parts on each side of the class boundary
+        large_whole = generate(self.LARGE)
+        for cut in (slice(0, 1), slice(999, 1003), slice(2001, 2002), slice(5, None, 7)):
+            parts.append(generate(self.LARGE, cut))
+            expected_parts.append(large_whole[cut])
         for part, expected in zip(parts, expected_parts):
             assert [(s.label, s.source_id) for s in part] == [(s.label, s.source_id) for s in expected]
             assert all(np.array_equal(a.samples, b.samples) for a, b in zip(part, expected))
 
     def test_each_signal_draws_from_its_spawned_child(self):
-        from texture_nilm.data import _ARCHETYPE_FUNCS
-
-        n = self.CFG.signals_per_class
-        children = np.random.SeedSequence(self.CFG.seed).spawn(len(self.CFG.classes) * n)
-        for signal in generate(self.CFG):
-            i = self.CFG.classes.index(signal.label) * n + int(signal.source_id[-3:])
-            rng = np.random.default_rng(children[i])
-            samples = _ARCHETYPE_FUNCS[signal.label](rng, self.CFG.signal_len, self.CFG.noise_sigma)
-            assert np.array_equal(signal.samples, samples)
+        for cfg in (self.CFG, self.LARGE):
+            n = cfg.signals_per_class
+            children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.classes) * n)
+            for signal in generate(cfg):
+                i = cfg.classes.index(signal.label) * n + int(signal.source_id.rpartition("_")[2])
+                rng = np.random.default_rng(children[i])
+                samples = _ARCHETYPE_FUNCS[signal.label](rng, cfg.signal_len, cfg.noise_sigma)
+                assert np.array_equal(signal.samples, samples)
 
     def test_different_seeds_differ(self):
-        import dataclasses
-
         other = generate(dataclasses.replace(self.CFG, seed=100))
         assert not np.array_equal(generate(self.CFG)[0].samples, other[0].samples)
 
@@ -258,3 +268,14 @@ class TestWriteCorpus:
             assert a.source_id == b.source_id
             assert a.sampling_rate_hz == b.sampling_rate_hz
             assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("field", ["label", "source_id"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "/abs"])
+    def test_a_name_that_is_not_one_path_component_is_refused(self, tmp_path, field, name):
+        signal = generate(SynthConfig(classes=("square_wave", "staircase"), signals_per_class=1))[0]
+        good = dataclasses.replace(signal, source_id="ok")
+        bad = dataclasses.replace(signal, **{field: name})
+        root = tmp_path / "corpus"
+        with pytest.raises(ValueError, match=re.escape(f"{name!r} is not a single path component")):
+            write_corpus([good, bad], root)
+        assert not root.exists()

@@ -158,8 +158,8 @@ def test_writer_matches_json_dumps_on_any_counts_and_strings(tmp_path):
     wld = np.ones((3, 256), dtype=np.int64)
     # the lookup holds strings for 0..768 (the table's 768 counts); 769 is past it
     lbp[0, :5] = 0, 7, 300, 768, 769
-    lbp[1, 255] = 2**63 - 1
-    wld[2, 10] = 10**12
+    lbp[1, 255] = 2**32 - 1
+    wld[2, 10] = 10**9
     table = FeatureTable(
         ["kettle", 'café "x"', "kettle"],
         ["a/b", "s\n☃", "c"],
@@ -180,9 +180,9 @@ STEP = pipeline.CHUNK_SAMPLES // 256
 
 
 def decimal_widths(most):
-    """Counts of every decimal width from 1 to ``most`` digits, up to the largest int64."""
+    """Counts of every decimal width from 1 to ``most`` digits, below 2**32."""
     return st.integers(1, most).flatmap(
-        lambda d: st.integers(0 if d == 1 else 10 ** (d - 1), min(10**d - 1, 2**63 - 1))
+        lambda d: st.integers(0 if d == 1 else 10 ** (d - 1), min(10**d - 1, 2**32 - 1))
     )
 
 
@@ -198,7 +198,7 @@ def feature_tables(
     draw,
     rows=st.sampled_from([0, 1, STEP - 1, STEP, STEP + 1]),
     names=NAMES,
-    counts=decimal_widths(19),
+    counts=decimal_widths(10),
     onsets=st.integers(0, 2**64),
 ):
     """Tables whose counts come from a few drawn values of any decimal width."""
@@ -265,7 +265,7 @@ def is_record(obj):
         and type(obj["onset_index"]) is int
         and obj["onset_index"] >= 0
         and len(counts) == 512
-        and all(type(v) is int and 0 <= v < 2**63 for v in counts)
+        and all(type(v) is int and 0 <= v < 2**32 for v in counts)
     )
 
 
@@ -322,6 +322,7 @@ PERTURBATIONS = {
     "leading_zero": first_count("wld", "01"),
     "19_digits": first_count("lbp", "1000000000000000000"),
     "over_int64": first_count("wld", "9223372036854775808"),
+    "2**32": first_count("lbp", "4294967296"),
     "255_counts": lambda line: re.sub(r'"lbp":\[\d+,', '"lbp":[', line, count=1),
     "257_counts": first_count("lbp", "0,0"),
     "no_counts": lambda line: re.sub(r'"wld":\[[0-9,]*\]', '"wld":[]', line),
@@ -438,8 +439,6 @@ WIDTH_LIMITS = {
     65535: np.uint16,
     65536: np.uint32,
     2**32 - 1: np.uint32,
-    2**32: np.int64,
-    2**63 - 1: np.int64,
 }
 
 
@@ -483,40 +482,80 @@ def test_narrowing_changes_no_value(columns):
         assert fuse_outcome(table.lbp, table.wld, strategy) == fuse_outcome(lbp, wld, strategy)
 
 
+@pytest.mark.parametrize("name", ["lbp", "wld"])
 @pytest.mark.parametrize(
     "bins",
     [
         np.ones((2, 256)),
+        np.ones((2, 256), dtype=bool),
         np.full((2, 256), -1, dtype=np.int64),
-        np.zeros((0, 256), dtype=np.int64),
-        np.zeros((0, 256), dtype=np.uint16),
         np.full((2, 256), 2**32, dtype=np.int64),
         np.full((2, 256), 2**32, dtype=np.uint64),
     ],
-    ids=["float", "negative", "empty", "empty_uint16", "2**32", "2**32_uint64"],
+    ids=["float", "bool", "negative", "2**32", "2**32_uint64"],
 )
-def test_narrow_keeps_what_it_cannot_narrow(bins):
-    assert pipeline._narrow(bins) is bins
-    assert FeatureTable([], [], [], bins, bins).lbp is bins
+def test_a_count_column_outside_the_rule_is_refused(bins, name):
+    columns = {kind: np.ones((2, 256), dtype=np.int64) for kind in ("lbp", "wld")}
+    columns[name] = bins
+    with pytest.raises(ValueError, match=rf"^{name} must hold integer counts in \[0, 2\*\*32\)$"):
+        FeatureTable(["c", "c"], ["s", "s"], [0, 1], columns["lbp"], columns["wld"])
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int64, np.uint16, np.uint64], ids=["empty", "empty_uint16", "empty_uint64"]
+)
+def test_empty_columns_follow_the_rule(dtype):
+    empty = np.zeros((0, 256), dtype=dtype)
+    table = FeatureTable([], [], [], empty, empty)
+    assert table.lbp.dtype == table.wld.dtype == np.uint8
+    assert FeatureTable.joined([]).lbp.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("source_id", ["s"]),
+        ("onset_index", [0, 1, 2, 3]),
+        ("lbp", np.ones((2, 256), dtype=np.int64)),
+        ("wld", np.ones((3, 255), dtype=np.int64)),
+        ("lbp", np.ones(3 * 256, dtype=np.int64)),
+    ],
+    ids=["source_id", "onset_index", "lbp_rows", "wld_bins", "lbp_flat"],
+)
+def test_columns_that_do_not_line_up_are_refused(field, value):
+    # else the writer's zip would drop every row past the shortest column
+    columns = {
+        "label": ["a", "b", "c"],
+        "source_id": ["s"] * 3,
+        "onset_index": [0, 1, 2],
+        "lbp": np.ones((3, 256), dtype=np.int64),
+        "wld": np.ones((3, 256), dtype=np.int64),
+    }
+    columns[field] = value
+    with pytest.raises(ValueError, match=field):
+        FeatureTable(**columns)
 
 
 @pytest.mark.parametrize("name", ["lbp", "wld"])
 def test_a_uint64_count_past_int64_is_refused(name):
-    # the dump reader reads counts as int64, so such a table could not be read back
     columns = {kind: np.ones((1, 256), dtype=np.uint64) for kind in ("lbp", "wld")}
     columns[name][0, 7] = 2**63
-    with pytest.raises(ValueError, match=rf"^{name} holds a count of 2\*\*63 or more"):
+    with pytest.raises(ValueError, match=rf"^{name} must hold integer counts in \[0, 2\*\*32\)$"):
         FeatureTable(["c"], ["s"], [0], columns["lbp"], columns["wld"])
 
 
 def test_the_largest_int64_count_round_trips(tmp_path):
+    # the largest count an int64 column may carry into a table
     lbp = np.ones((1, 256), dtype=np.int64)
-    lbp[0, 7] = 2**63 - 1
+    lbp[0, 7] = 2**32 - 1
     table = FeatureTable(["c"], ["s"], [0], lbp, np.ones((1, 256), dtype=np.uint64))
-    assert table.lbp.dtype == np.int64
+    assert (table.lbp.dtype, table.wld.dtype) == (np.uint32, np.uint8)
     dump = tmp_path / "features.jsonl"
     dump.write_text(records_to_jsonl(table))
     assert table_state(load_records(dump)) == table_state(table)
+    dump.write_text(records_to_jsonl(table).replace("4294967295", "4294967296"))
+    with pytest.raises(MalformedCsv, match="line 1: not a record as extract writes it"):
+        load_records(dump)
 
 
 # a corpus of about 1,600 windows of 8x8 grids (36 interior cells)
