@@ -103,7 +103,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if cfg.io.synth is None:
         raise InvalidConfig("synth requires an io.synth block")
     out_root = Path(args.out) if args.out else Path(cfg.io.output) / "corpus"
-    counts = write_corpus(generate(cfg.io.synth), out_root)
+    # each signal is generated only when the writes reach it
+    counts = write_corpus(_signals(cfg), out_root)
     for label in sorted(counts):
         print(f"class={label} files={counts[label]}")
     print(f"total={sum(counts.values())} root={out_root}")

@@ -20,22 +20,29 @@ nothing. Writing builds each file's text with one join over bulk-converted
 values, with the same bytes as formatting each row on its own.
 
 Float parsing and ``repr`` bound both directions, so on Linux a corpus is
-read and written one file per task by forked worker processes, one per usable
-CPU and at most 8. The calls run in this process instead when that is one,
-or when another thread runs here. The files, the signals, their order and
-the first error raised are the same either way.
+read and written one file per call by forked worker processes, one per
+usable CPU and at most 8, which take the calls in chunks of a few files. The
+calls run in this process instead when that is one, or when another thread
+runs here. The files, the signals, their order and the first error raised
+are the same either way. Calls are made from their tasks only as the
+workers are ready for them, at most two chunks per worker sent and not yet
+done, so ``synth``, which hands ``write_corpus`` a generator that makes each
+signal when it is taken, holds a few chunks of signals, never the corpus.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import signal
 import sys
 import threading
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +66,10 @@ _PR_SET_PDEATHSIG = 1
 # csv-ingest benchmark corpora: 8 added 38 to 69 MB to commands that use 41
 # to 53 MB alone. The speedup has been measured on 2 CPUs only.
 _MAX_WORKERS = 8
+# Files per chunk of calls sent to a worker: one queue round trip per file
+# cost about a third of the parse time of a 4096-row file, and short chunks
+# keep the workers even at the end.
+_CHUNK_FILES = 8
 # Whether corpus I/O may fork workers: not on macOS, whose system libraries
 # are not safe in a forked child, nor on Windows, which cannot fork, nor
 # before Python 3.11, whose executor can fork while its own thread runs.
@@ -297,21 +308,28 @@ def _die_with_parent(parent: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _map_files(func: Callable, tasks: list[tuple], undo: Callable | None = None) -> list:
+def _map_files(func: Callable, tasks: Iterable[tuple], undo: Callable | None = None) -> list:
     """``[func(*task) for task in tasks]``, one worker process per usable CPU
     (at most ``_MAX_WORKERS``).
 
-    Every call runs, and the results keep the order of ``tasks``. If any call
-    raises, the exception of the first failing task in that order is raised,
-    with its own type and message, after ``undo`` has been given the result
-    of every call that succeeded. From a worker, the exception has the
-    worker's traceback as its cause. With fewer than two workers (see
-    :func:`_pool_size`) the calls run in this process, in order. Every worker
-    has exited before this returns, and a worker that dies raises
-    ``BrokenProcessPool`` here.
+    Tasks are taken from ``tasks`` only as the calls reach them: a worker
+    has at most two chunks of ``_CHUNK_FILES`` calls sent and not yet done,
+    so a lazy iterable of tasks is held a few chunks at a time. Every call
+    runs, and the results keep the order of ``tasks``. If any call raises,
+    the exception of the first failing task in that order is raised, with
+    its own type and message, after ``undo`` has been given the result of
+    every call that succeeded. From a worker, the exception has the worker's
+    traceback as its cause. If taking a task raises, that exception is
+    raised instead, once the calls already sent have finished and been
+    undone. With fewer than two workers (see :func:`_pool_size`, which sees
+    at most the first ``_MAX_WORKERS`` tasks) the calls run in this process,
+    in order. Every worker has exited before this returns, and a worker that
+    dies raises ``BrokenProcessPool`` here.
     """
-    workers = _pool_size(len(tasks))
-    calls = [(func, *task) for task in tasks]
+    calls = ((func, *task) for task in tasks)
+    head = deque(islice(calls, _MAX_WORKERS))
+    workers = _pool_size(len(head))
+    calls = chain((head.popleft() for _ in range(len(head))), calls)
     outcomes: list[tuple[bool, object, str | None]] = []
     try:
         if workers < 2:
@@ -331,24 +349,24 @@ def _map_files(func: Callable, tasks: list[tuple], undo: Callable | None = None)
                 initializer=_die_with_parent,
                 initargs=(os.getpid(),),
             )
-            # about 16 chunks per worker: one queue round trip per file cost
-            # about a third of the parse time of a 4096-row file, and short
-            # chunks keep the workers even at the end
-            size = max(1, len(calls) // (16 * workers))
-            chunks = []
-            taken = 0
+            # sent and not yet collected, oldest first: one running and one
+            # waiting per worker, so no worker waits for this process
+            sent = deque()
             try:
-                for i in range(0, len(calls), size):
-                    chunks.append(pool.submit(_call_chunk, calls[i : i + size]))
-                for chunk in chunks:
-                    outcomes.extend(chunk.result())
-                    taken += 1
+                while chunk := list(islice(calls, _CHUNK_FILES)):
+                    if len(sent) == 2 * workers:
+                        outcomes.extend(sent[0].result())
+                        sent.popleft()
+                    sent.append(pool.submit(_call_chunk, chunk))
+                while sent:
+                    outcomes.extend(sent[0].result())
+                    sent.popleft()
             finally:
                 # waits for the workers. After an interrupt, chunks that had
                 # not started are dropped, and what the running ones did is
                 # added, so that the undo below sees every file written.
                 pool.shutdown(cancel_futures=True)
-                for chunk in chunks[taken:]:
+                for chunk in sent:
                     if not chunk.cancelled() and chunk.exception() is None:
                         outcomes.extend(chunk.result())
         for ok, value, text in outcomes:
@@ -412,34 +430,59 @@ def _csv_text(signal: PowerSignal) -> str:
     return _PLAIN_HEADER + "\n".join(map(",".join, zip(stamps, values))) + "\n"
 
 
-def write_corpus(signals: list[PowerSignal], root: str | Path) -> dict[str, int]:
+def write_corpus(signals: Iterable[PowerSignal], root: str | Path) -> dict[str, int]:
     """Write signals as a `<root>/<label>/<source_id>.csv` corpus.
 
     Power values are written with full round-trip precision and timestamps as
     integers whenever the sampling step is integral, so loading the corpus
-    back reproduces the exact same signals. A label or source id that is not a
-    single path component (empty, ``.``, ``..``, or holding a path separator)
-    raises ValueError naming it before any file is written. If a file cannot
-    be written, every file this call did write is removed again and the error
-    of the first failing file, in (label, source id) order, is raised.
+    back reproduces the exact same signals. Signals are taken one at a time,
+    as the writes reach them, so a generator that makes them lazily is held
+    a few chunks at a time (see :func:`_map_files`). They must come in
+    increasing (label, source_id) order, each pair once, or ValueError names
+    the first pair out of order or repeated; a label or source id that is
+    not a single path component (empty, ``.``, ``..``, or holding a path
+    separator) raises ValueError naming it. On any failure every file and
+    directory this call made is removed again, and if a file cannot be
+    written, the error of the first failing file in order is raised.
     """
-    for signal in signals:
-        for name in (signal.label, signal.source_id):
-            if name in ("", ".", "..") or "/" in name or os.sep in name:
-                raise ValueError(f"{name!r} is not a single path component")
     root = Path(root)
-    # path -> signal: of two signals with one path only the later is
-    # written, as when they were written one after the other
-    files: dict[Path, PowerSignal] = {}
     counts: dict[str, int] = {}
-    for signal in sorted(signals, key=lambda s: (s.label, s.source_id)):
-        class_dir = root / signal.label
-        if signal.label not in counts:
-            class_dir.mkdir(parents=True, exist_ok=True)
-        files[class_dir / f"{signal.source_id}.csv"] = signal
-        counts[signal.label] = counts.get(signal.label, 0) + 1
-    _map_files(_write_csv, [(s, path) for path, s in files.items()], undo=_remove)
+    made: list[Path] = []
+
+    def tasks():
+        last = None
+        for signal in signals:
+            key = (signal.label, signal.source_id)
+            for name in key:
+                if name in ("", ".", "..") or "/" in name or os.sep in name:
+                    raise ValueError(f"{name!r} is not a single path component")
+            if last is not None and key <= last:
+                raise ValueError(
+                    f"signals are not in increasing (label, source_id) order: {key} came after {last}"
+                )
+            last = key
+            class_dir = root / signal.label
+            if signal.label not in counts:
+                made.extend(_make_dirs(class_dir))
+                counts[signal.label] = 0
+            counts[signal.label] += 1
+            yield signal, class_dir / f"{signal.source_id}.csv"
+
+    try:
+        _map_files(_write_csv, tasks(), undo=_remove)
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return counts
+
+
+def _make_dirs(path: Path) -> list[Path]:
+    """Make ``path`` and its missing parents; return those it made, parents first."""
+    missing = list(takewhile(lambda p: not p.exists(), (path, *path.parents)))
+    path.mkdir(parents=True, exist_ok=True)
+    return missing[::-1]
 
 
 def _write_csv(signal: PowerSignal, path: Path) -> Path:

@@ -135,10 +135,9 @@ def run_eval(ds: LabeledDataset, knn: KnnConfig, cfg: EvalConfig) -> EvalReport:
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     per_fold = []
     for f, (train_idx, test_idx) in enumerate(stratified_folds(ds, cfg)):
-        train = LabeledDataset(ds.vectors[train_idx], [ds.labels[i] for i in train_idx])
-        predictions = predict_batch(train, ds.vectors[test_idx], knn)
-        # freed before the next fold's training copy is built
-        del train
+        # the fold's training rows are selected, not copied (cosine copies
+        # them inside predict_batch, one fold at a time)
+        predictions = predict_batch(ds, ds.vectors[test_idx], knn, rows=train_idx)
         fold_conf = np.zeros_like(confusion)
         for i, predicted in zip(test_idx, predictions):
             fold_conf[index_of[ds.labels[i]], index_of[predicted]] += 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_predict_exact_ref, knn_predict_ref
@@ -253,6 +253,14 @@ def reference_batch(train, labels, queries, cfg):
     return out
 
 
+def outcome(func, *args, **kwargs):
+    """The result, or the type of the exception."""
+    try:
+        return func(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
 def assert_matches_reference(train, labels, queries, cfg):
     with np.errstate(all="ignore"):
         expected = reference_batch(train, labels, queries, cfg)
@@ -285,13 +293,15 @@ class TestExactParity:
         self, monkeypatch, metric, k, weighting
     ):
         # a coarse grid makes many exact ties; every third query is a training row
-        monkeypatch.setattr(classify, "_RERANK_ELEMENTS", 50)
+        monkeypatch.setattr(classify, "_RERANK_ELEMENTS", 250)
         rng = np.random.default_rng(3)
         train = rng.integers(1, 5, size=(60, 6)) / 4.0
         # the cosine norms are summed in several chunks of rows too
         assert len(train) > classify._RERANK_ELEMENTS // train.shape[1]
         labels = [f"c{i % 4}" for i in range(60)]
-        queries = rng.integers(1, 5, size=(2 * classify._QUERY_BLOCK + 7, 6)) / 4.0
+        # blocks of 4 queries, the last one short
+        queries = rng.integers(1, 5, size=(37, 6)) / 4.0
+        assert classify._RERANK_ELEMENTS // len(train) == 4
         queries[::3] = train[rng.integers(0, 60, size=len(queries[::3]))]
         cfg = KnnConfig(k=k, metric=metric, weighting=weighting)
         assert_matches_reference(train, labels, queries, cfg)
@@ -340,6 +350,45 @@ class TestExactParity:
         assert predict_batch(ds, np.zeros((1, 2)), KnnConfig()) == ["far"]
         assert_matches_reference(train, ["far", "near"], np.zeros((1, 2)), KnnConfig())
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        near_tie_problems(),
+        st.sampled_from(["euclidean", "cosine"]),
+        st.sampled_from(["uniform", "inverse_distance"]),
+        st.data(),
+    )
+    def test_rows_act_as_a_copy_of_those_rows(self, problem, metric, weighting, data):
+        train, labels, queries, k = problem
+        # the training rows sit at increasing positions among NaN rows, which
+        # would change a distance or raise if any reached one
+        extra = data.draw(st.integers(0, 5))
+        rows = np.sort(data.draw(st.permutations(range(len(train) + extra)))[: len(train)])
+        whole = np.full((len(train) + extra, train.shape[1]), np.nan)
+        whole[rows] = train
+        whole_labels = ["nan"] * len(whole)
+        for i, row in enumerate(rows):
+            whole_labels[row] = labels[i]
+        cfg = KnnConfig(k=k, metric=metric, weighting=weighting)
+        with np.errstate(all="ignore"):
+            expected = outcome(predict_batch, LabeledDataset(train, labels), queries, cfg)
+            got = outcome(
+                predict_batch, LabeledDataset(whole, whole_labels), queries, cfg, rows=np.array(rows)
+            )
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[1, 0], [0, 0], [-1, 2], [0, 5], [[0, 1]], np.array([0.0, 1.0])],
+        ids=["decreasing", "repeated", "negative", "past_the_end", "2d", "float"],
+    )
+    def test_rows_that_are_not_increasing_indices_are_refused(self, rows):
+        with pytest.raises(ValueError, match="^rows must be increasing indices of training items$"):
+            predict_batch(FIVE_POINTS, [QUERY], KnnConfig(), rows=rows)
+
+    def test_no_rows_is_an_empty_training_set(self):
+        with pytest.raises(EmptyTrainingSet):
+            predict_batch(FIVE_POINTS, [QUERY], KnnConfig(), rows=np.array([], dtype=np.intp))
+
     def test_errors_are_raised_before_any_work(self):
         empty = LabeledDataset(np.zeros((0, 2)), [])
         assert predict_batch(empty, [], KnnConfig()) == []
@@ -347,3 +396,26 @@ class TestExactParity:
             predict_batch(empty, [np.zeros(2)], KnnConfig())
         with pytest.raises(DimensionMismatch):
             predict_batch(FIVE_POINTS, [QUERY, np.zeros(3)], KnnConfig())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 600),
+    st.integers(1, 600),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=1, d=1, block=1, seed=0)
+@example(n=7, d=513, block=5, seed=1)
+@example(n=945, d=512, block=3, seed=2)
+@example(n=599, d=257, block=6, seed=3)
+def test_a_gemv_written_into_a_row_has_the_bits_of_train_at_q(n, d, block, seed):
+    # cosine writes each query's gemv into a row of one preallocated block;
+    # every row sits at another offset, and odd sizes misalign them
+    rng = np.random.default_rng(seed)
+    train = rng.random((n, d))
+    queries = rng.random((block, d))
+    out = np.empty((block, n))
+    for r, q in enumerate(queries):
+        np.matmul(train, q, out=out[r])
+        assert out[r].tobytes() == (train @ q).tobytes()

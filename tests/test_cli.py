@@ -735,6 +735,19 @@ class TestEvalCommand:
         dump.write_text('{"label": "x"}\n')
         assert main(["eval", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "blank_line"])
+    def test_empty_dump_exits_3_at_line_1(self, tmp_path, capsys, text):
+        # extract never writes an empty dump, so it says nothing about events
+        cfg = write_config(tmp_path / "c.json")
+        dump = tmp_path / "out" / "features.jsonl"
+        dump.parent.mkdir(parents=True)
+        dump.write_text(text)
+        assert main(["eval", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {dump}: line 1: not a record as extract writes it\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_no_events_exits_4(self, tmp_path):
         corpus = write_flat_corpus(tmp_path / "corpus")
         cfg = write_config(

@@ -249,6 +249,18 @@ class TestRunEval:
         assert peak < bound * ds.vectors.nbytes
 
 
+    def test_euclidean_folds_copy_no_training_rows(self, small_corpus_datasets):
+        # the fold's training rows are selected from the whole matrix, so the
+        # call allocates less than one fold's training rows
+        ds = small_corpus_datasets["concat"]
+        cfg = EvalConfig(folds=10, seed=7)
+        knn = KnnConfig(k=5, metric="euclidean")
+        report, peak = traced_peak(partial(run_eval, ds, knn, cfg))
+        assert report.confusion.sum() == len(ds)
+        n_train = max(len(train) for train, _ in stratified_folds(ds, cfg))
+        assert peak < n_train * ds.vectors.shape[1] * 8
+
+
 @st.composite
 def eval_reports(draw):
     n = draw(st.integers(1, 4))
@@ -300,11 +312,12 @@ def small_corpus_datasets():
     }
 
 
-def reference_predict_batch(train, queries, cfg):
+def reference_predict_batch(train, queries, cfg, *, rows):
+    # its own contiguous copy of the fold's training rows
+    vectors = np.ascontiguousarray(train.vectors[rows])
+    labels = [train.labels[i] for i in rows]
     return [
-        knn_predict_exact_ref(
-            train.vectors, train.labels, q, cfg.k, cfg.metric.value, cfg.weighting.value
-        )
+        knn_predict_exact_ref(vectors, labels, q, cfg.k, cfg.metric.value, cfg.weighting.value)
         for q in queries
     ]
 

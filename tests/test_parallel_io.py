@@ -8,12 +8,14 @@ same files, the same signals and the same first error.
 
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
 import traceback
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 
 from conftest import write_config
 from oracles import load_csv_ref, write_corpus_ref
-from texture_nilm import PowerSignal, data, load_dataset, write_corpus
+from texture_nilm import PowerSignal, cli, data, generate, load_dataset, write_corpus
 from texture_nilm.cli import main
 from texture_nilm.errors import MalformedCsv, NonMonotoneTimestamps
 
@@ -50,13 +52,15 @@ def outcome(func, *args):
 
 
 def signals():
+    """15 signals in 3 classes, in (label, source_id) order as write_corpus
+    takes them."""
     rng = np.random.default_rng(23)
     out = []
     for label, rate in (("b_kettle", 1.0), ("a_fridge", 0.5), ("c_tv", 3.0)):
         for i in range(5):
             samples = rng.normal(400.0, 120.0, 64 + 37 * i)
             out.append(PowerSignal(samples, rate, label, f"rec_{i}"))
-    return out
+    return sorted(out, key=lambda s: (s.label, s.source_id))
 
 
 def tree(root):
@@ -97,19 +101,23 @@ class TestParity:
         assert trees["pool"] == trees["in_process"] == tree(tmp_path / "ref")
         assert len(trees["pool"]) == 15
 
-    def test_duplicate_paths_keep_the_later_signal(self, tmp_path, monkeypatch):
-        # the earlier twin is the slower to format, so two workers writing
-        # both would leave it in the file
-        twins = [
-            PowerSignal(np.arange(1.0, 300_001.0), 1.0, "c_tv", "twin"),
-            PowerSignal([5.0, 6.0], 1.0, "c_tv", "twin"),
-        ]
-        want = write_corpus_ref(twins, tmp_path / "ref")
-        assert want == {"c_tv": 2}
-        assert (tmp_path / "ref" / "c_tv" / "twin.csv").read_text() == "timestamp,power_w\n0,5.0\n1,6.0\n"
+    @pytest.mark.parametrize("edit", ["repeat", "swap"])
+    def test_a_pair_out_of_order_is_refused_and_nothing_is_left(self, tmp_path, monkeypatch, edit):
+        # the 12th of 15 signals, after the first chunks have been written
+        corpus = signals()
+        if edit == "repeat":
+            corpus[11] = corpus[10]
+        else:
+            corpus[10], corpus[11] = corpus[11], corpus[10]
+        first, second = ((s.label, s.source_id) for s in corpus[10:12])
+        message = f"(label, source_id) order: {second} came after {first}"
         for name, n in MODES.items():
-            assert run_in_mode(monkeypatch, n, write_corpus, twins, tmp_path / name) == want
-            assert tree(tmp_path / name) == tree(tmp_path / "ref")
+            # the directory that was there stays, and the ones made go
+            (tmp_path / name).mkdir()
+            root = tmp_path / name / "corpus"
+            with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+                run_in_mode(monkeypatch, n, write_corpus, corpus, root)
+            assert list((tmp_path / name).iterdir()) == []
 
     def test_signals_match_in_both_modes(self, tmp_path, monkeypatch):
         root = mixed_corpus(tmp_path / "corpus")
@@ -207,6 +215,33 @@ def test_failed_write_removes_every_written_file(tmp_path, monkeypatch):
         assert blocker.is_dir()
         assert keep.read_text() == "not written by the call\n"
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("n", MODES.values(), ids=MODES.keys())
+def test_cli_synth_holds_a_bounded_number_of_generated_signals(tmp_path, monkeypatch, n):
+    synth = {
+        "classes": ["square_wave", "staircase", "duty_cycled"],
+        "signals_per_class": 40,
+        "signal_len": 256,
+        "noise_sigma": 2.0,
+        "seed": 7,
+    }
+    cfg = write_config(tmp_path / "c.json", io={"output": str(tmp_path / "out"), "synth": synth})
+    refs, alive = [], []
+
+    def spy_generate(*args):
+        signals = generate(*args)
+        refs.extend(weakref.ref(s) for s in signals)
+        alive.append(sum(ref() is not None for ref in refs))
+        return signals
+
+    monkeypatch.setattr(cli, "generate", spy_generate)
+    assert run_in_mode(monkeypatch, n, main, ["synth", "--config", str(cfg)]) == 0
+    assert len(refs) == 120
+    assert len(list((tmp_path / "out" / "corpus").glob("*/*.csv"))) == 120
+    # the first _MAX_WORKERS signals size the pool, then each worker has at
+    # most two chunks in flight while the next chunk is filled
+    assert max(alive) <= data._MAX_WORKERS + (2 * n + 1) * data._CHUNK_FILES < 120
 
 
 def run_python(code, *args, **kwargs):
