@@ -269,7 +269,7 @@ def load_records(path: str | Path) -> FeatureTable:
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not readable as text: {exc}") from None
     if not text:
-        # extract writes no dump without a window, so an empty one is not its
+        # extract writes no dump when it finds no window, so never an empty one
         raise MalformedCsv(f"{path}: line 1: not a record as extract writes it")
     stacks, start = [], 0
     matches = _FIELDS.finditer(text)
