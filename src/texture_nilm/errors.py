@@ -49,6 +49,10 @@ class NonFiniteDistance(PipelineError, ValueError):
     """A NaN distance left a weighted vote with no winning label."""
 
 
+class ZeroNormVector(PipelineError, ValueError):
+    """Cosine distance is undefined for a zero-norm query or training vector."""
+
+
 class TooFewClasses(PipelineError, ValueError):
     """Evaluation needs at least two classes to tell apart."""
 

@@ -135,8 +135,7 @@ def run_eval(ds: LabeledDataset, knn: KnnConfig, cfg: EvalConfig) -> EvalReport:
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     per_fold = []
     for f, (train_idx, test_idx) in enumerate(stratified_folds(ds, cfg)):
-        # the fold's training rows are selected, not copied (cosine copies
-        # them inside predict_batch, one fold at a time)
+        # the fold's training rows are selected, not copied
         predictions = predict_batch(ds, ds.vectors[test_idx], knn, rows=train_idx)
         fold_conf = np.zeros_like(confusion)
         for i, predicted in zip(test_idx, predictions):

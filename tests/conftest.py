@@ -25,14 +25,21 @@ def descriptor_cfg():
     return DescriptorConfig()
 
 
+def sweep_table(seed: int, window_len: int = 1024) -> FeatureTable:
+    """The windows of the eval-sweep benchmark's corpus (the README quick
+    start's corpus) on ``seed``."""
+    synth = SynthConfig(signals_per_class=50, signal_len=4096, noise_sigma=3.0, seed=seed)
+    return FeatureTable.joined(
+        extract_records(
+            generate(synth), EventDetectorConfig(window_len=window_len), DescriptorConfig()
+        )
+    )
+
+
 @pytest.fixture(scope="session")
 def sweep_records():
-    """The 1,050 windows of the eval-sweep benchmark's corpus on seed 20240601:
-    the README quick start's corpus on the benchmark's seed."""
-    synth = SynthConfig(signals_per_class=50, signal_len=4096, noise_sigma=3.0, seed=20240601)
-    return FeatureTable.joined(
-        extract_records(generate(synth), EventDetectorConfig(window_len=1024), DescriptorConfig())
-    )
+    """The 1,050 windows of the eval-sweep benchmark's corpus on its seed, 20240601."""
+    return sweep_table(20240601)
 
 
 def traced_peak(call):

@@ -6,14 +6,17 @@ can be cross-checked against a second, independent path. Keep it dumb.
 
 Eight functions are frozen copies of original production code rather than
 independent derivations: :func:`knn_predict_exact_ref` (the per-query
-classifier scan), :func:`fuse_ref` (the one-window histogram fusion),
-:func:`load_csv_ref` (the row-by-row CSV reader), :func:`write_corpus_ref`
-(the per-row corpus writer), :func:`detect_events_ref` (the per-run,
-per-window event detector), :func:`stratified_folds_ref` (the per-fold
-index lists), and :func:`config_to_dict_ref` and
-:func:`report_to_dict_ref` (the config and report dicts written out field
-by field). They pin outputs bit for bit, and error messages too, where the
-scalar oracles only pin the definitions.
+classifier scan, its cosine distances from one gemv per query),
+:func:`fuse_ref` (the one-window histogram fusion), :func:`load_csv_ref`
+(the row-by-row CSV reader), :func:`write_corpus_ref` (the per-row corpus
+writer), :func:`detect_events_ref` (the per-run, per-window event
+detector), :func:`stratified_folds_ref` (the per-fold index lists), and
+:func:`config_to_dict_ref` and :func:`report_to_dict_ref` (the config and
+report dicts written out field by field). They pin outputs bit for bit, and
+error messages too, where the scalar oracles only pin the definitions.
+:func:`knn_predict_per_pair_ref` is the scan with cosine computed pair by
+pair: the classifier matches it bit for bit, and matches the gemv scan on
+the pinned corpora's predictions and report bytes.
 """
 
 from __future__ import annotations
@@ -259,6 +262,32 @@ def knn_predict_exact_ref(
         if qn == 0.0 or np.any(tn == 0.0):
             raise ValueError("cosine distance is undefined for zero-norm vectors")
         d = 1.0 - (train @ q) / (tn * qn)
+    return _vote_exact_ref(d, labels, k, weighting)
+
+
+def knn_predict_per_pair_ref(
+    train_vectors, labels, query, k, metric="euclidean", weighting="uniform"
+):
+    """:func:`knn_predict_exact_ref` with cosine computed one pair at a time.
+
+    Each distance is ``1 - sum(t * q) / (|t| |q|)``, with both norms
+    ``sqrt(sum(x * x))`` of their own row, so its bits do not depend on
+    where the row sits in the matrix, as the gemv's do. Euclidean is the
+    same per-pair formula as in :func:`knn_predict_exact_ref`.
+    """
+    if metric == "euclidean":
+        return knn_predict_exact_ref(train_vectors, labels, query, k, metric, weighting)
+    train = np.asarray(train_vectors, dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    qn = np.sqrt(np.sum(q * q))
+    tn = [np.sqrt(np.sum(t * t)) for t in train]
+    if qn == 0.0 or any(n == 0.0 for n in tn):
+        raise ValueError("cosine distance is undefined for zero-norm vectors")
+    d = np.array([1.0 - np.sum(t * q) / (n * qn) for t, n in zip(train, tn)])
+    return _vote_exact_ref(d, labels, k, weighting)
+
+
+def _vote_exact_ref(d, labels, k, weighting):
     if k == 1:
         weighting = "uniform"
     nearest = np.argsort(d, kind="stable")[: min(k, len(labels))]

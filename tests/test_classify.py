@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_predict_exact_ref, knn_predict_ref
+from oracles import knn_predict_per_pair_ref, knn_predict_ref
 from texture_nilm import (
     KnnConfig,
     LabeledDataset,
@@ -18,6 +18,7 @@ from texture_nilm.errors import (
     EmptyTrainingSet,
     InvalidConfig,
     NonFiniteDistance,
+    ZeroNormVector,
 )
 
 FIVE_POINTS = LabeledDataset(
@@ -106,9 +107,22 @@ class TestPredict:
             predict(FIVE_POINTS, np.zeros(3), KnnConfig())
 
     def test_cosine_rejects_zero_norm(self):
-        train = LabeledDataset(np.array([[1.0, 0.0]]), ["a"])
-        with pytest.raises(ValueError):
-            predict(train, np.zeros(2), KnnConfig(k=1, metric="cosine"))
+        cfg = KnnConfig(k=1, metric="cosine")
+        train = LabeledDataset(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]), ["a", "b", "c"])
+        with pytest.raises(ZeroNormVector, match="^cosine distance is undefined for zero-norm vectors$"):
+            predict_batch(train, [np.ones(2), np.zeros(2)], cfg, rows=np.array([0, 2]))
+        with pytest.raises(ZeroNormVector):
+            predict_batch(train, [np.ones(2)], cfg, rows=np.array([0, 1]))
+        assert issubclass(ZeroNormVector, ValueError)
+        # a zero row outside ``rows`` is never an item
+        assert predict_batch(train, [np.array([1.0, 3.0])], cfg, rows=np.array([0, 2])) == ["c"]
+
+    def test_zero_dimensional_vectors(self):
+        # every Euclidean distance is 0, so the index rule decides
+        train = LabeledDataset(np.zeros((3, 0)), ["b", "a", "c"])
+        assert predict(train, np.zeros(0), KnnConfig()) == "b"
+        with pytest.raises(ZeroNormVector):
+            predict(train, np.zeros(0), KnnConfig(metric="cosine"))
 
     def test_deterministic_across_repeated_calls(self):
         rng = np.random.default_rng(17)
@@ -244,7 +258,7 @@ def reference_batch(train, labels, queries, cfg):
     for q in queries:
         try:
             out.append(
-                knn_predict_exact_ref(
+                knn_predict_per_pair_ref(
                     train, labels, q, cfg.k, cfg.metric.value, cfg.weighting.value
                 )
             )
@@ -296,7 +310,7 @@ class TestExactParity:
         monkeypatch.setattr(classify, "_RERANK_ELEMENTS", 250)
         rng = np.random.default_rng(3)
         train = rng.integers(1, 5, size=(60, 6)) / 4.0
-        # the cosine norms are summed in several chunks of rows too
+        # the norms are summed in several chunks of rows too
         assert len(train) > classify._RERANK_ELEMENTS // train.shape[1]
         labels = [f"c{i % 4}" for i in range(60)]
         # blocks of 4 queries, the last one short
@@ -307,9 +321,13 @@ class TestExactParity:
         assert_matches_reference(train, labels, queries, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
-    @pytest.mark.parametrize("where", ["train", "query"])
+    @pytest.mark.parametrize(
+        "where, metric",
+        [(w, m) for m in ("euclidean", "cosine") for w in ("train", "query")],
+        ids=["train", "query", "train-cosine", "query-cosine"],
+    )
     @pytest.mark.parametrize("k, weighting", [(1, "uniform"), (3, "inverse_distance")])
-    def test_non_finite_and_overflowing_inputs(self, bad, where, k, weighting):
+    def test_non_finite_and_overflowing_inputs(self, bad, where, metric, k, weighting):
         rng = np.random.default_rng(11)
         train = rng.normal(size=(9, 3))
         queries = rng.normal(size=(4, 3))
@@ -318,7 +336,7 @@ class TestExactParity:
         else:
             queries[2, 0] = bad
         labels = ["x", "y", "z"] * 3
-        cfg = KnnConfig(k=k, weighting=weighting)
+        cfg = KnnConfig(k=k, metric=metric, weighting=weighting)
         assert_matches_reference(train, labels, queries, cfg)
 
     def test_nan_distances_in_a_weighted_vote_raise_a_named_error(self):
@@ -359,11 +377,12 @@ class TestExactParity:
     )
     def test_rows_act_as_a_copy_of_those_rows(self, problem, metric, weighting, data):
         train, labels, queries, k = problem
-        # the training rows sit at increasing positions among NaN rows, which
-        # would change a distance or raise if any reached one
+        # the training rows sit at increasing positions among NaN or zero
+        # rows, which would change a distance or raise if any reached one
         extra = data.draw(st.integers(0, 5))
         rows = np.sort(data.draw(st.permutations(range(len(train) + extra)))[: len(train)])
-        whole = np.full((len(train) + extra, train.shape[1]), np.nan)
+        filler = data.draw(st.sampled_from([np.nan, 0.0]))
+        whole = np.full((len(train) + extra, train.shape[1]), filler)
         whole[rows] = train
         whole_labels = ["nan"] * len(whole)
         for i, row in enumerate(rows):
@@ -396,26 +415,3 @@ class TestExactParity:
             predict_batch(empty, [np.zeros(2)], KnnConfig())
         with pytest.raises(DimensionMismatch):
             predict_batch(FIVE_POINTS, [QUERY, np.zeros(3)], KnnConfig())
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 600),
-    st.integers(1, 600),
-    st.integers(1, 6),
-    st.integers(0, 2**32 - 1),
-)
-@example(n=1, d=1, block=1, seed=0)
-@example(n=7, d=513, block=5, seed=1)
-@example(n=945, d=512, block=3, seed=2)
-@example(n=599, d=257, block=6, seed=3)
-def test_a_gemv_written_into_a_row_has_the_bits_of_train_at_q(n, d, block, seed):
-    # cosine writes each query's gemv into a row of one preallocated block;
-    # every row sits at another offset, and odd sizes misalign them
-    rng = np.random.default_rng(seed)
-    train = rng.random((n, d))
-    queries = rng.random((block, d))
-    out = np.empty((block, n))
-    for r, q in enumerate(queries):
-        np.matmul(train, q, out=out[r])
-        assert out[r].tobytes() == (train @ q).tobytes()
