@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .config import PipelineConfig, config_fingerprint, config_to_dict, load_config
 from .data import generate, load_dataset, write_corpus
-from .errors import InvalidConfig, MalformedCsv, PipelineError
+from .errors import InvalidConfig, MalformedCsv, NoEvents, PipelineError
 from .evaluation import EvalReport, run_eval
 from .fusion import FusionStrategy
 from .pipeline import (
@@ -43,10 +43,6 @@ EXIT_IO = 3
 EXIT_NO_EVENTS = 4
 
 STRATEGY_NAMES = [s.value for s in FusionStrategy]
-
-
-def _err(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 @contextmanager
@@ -111,29 +107,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _NoEvents(Exception):
-    """Extraction described no window, so no dump is written."""
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out) if args.out else Path(cfg.io.output) / "features.jsonl"
     signals = _signals(cfg)
     counts = Counter()
-    try:
-        with _atomic_file(out) as f:
+    with _atomic_file(out) as f:
 
-            def write(stack: FeatureTable) -> None:
-                f.write(records_to_jsonl(stack))
-                counts.update(stack.label)
+        def write(stack: FeatureTable) -> None:
+            f.write(records_to_jsonl(stack))
+            counts.update(stack.label)
 
-            # each stack is written as soon as it is described, and not kept
-            extract_records(signals, cfg.detector, cfg.descriptor, emit=write)
-            if not counts:
-                raise _NoEvents
-    except _NoEvents:
-        _err("no events detected in any signal")
-        return EXIT_NO_EVENTS
+        # each stack is written as soon as it is described, and not kept
+        extract_records(signals, cfg.detector, cfg.descriptor, emit=write)
+        if not counts:
+            # raised inside, so an earlier dump is kept
+            raise NoEvents("no events detected in any signal")
     for label in sorted(counts):
         print(f"class={label} windows={counts[label]}")
     print(f"total={counts.total()} dump={out}")
@@ -143,8 +132,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def _records_for_eval(cfg: PipelineConfig):
     dump = Path(cfg.io.output) / "features.jsonl"
     if dump.is_file():
+        # never empty: extract writes no dump when it finds no window
         return load_records(dump)
-    return FeatureTable.joined(extract_records(_signals(cfg), cfg.detector, cfg.descriptor))
+    records = FeatureTable.joined(extract_records(_signals(cfg), cfg.detector, cfg.descriptor))
+    if not records:
+        raise NoEvents("no events detected in any signal")
+    return records
 
 
 def _single_report_doc(cfg: PipelineConfig, report: EvalReport) -> dict:
@@ -170,10 +163,6 @@ def _ordering_section(accuracies: dict[str, float]) -> dict:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     records = _records_for_eval(cfg)
-    if not records:
-        _err("no events detected in any signal")
-        return EXIT_NO_EVENTS
-
     run_all = args.strategy == "all"
     strategies = list(FusionStrategy) if run_all else [cfg.fusion_strategy]
     docs, lines = {}, []
@@ -310,12 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidConfig as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
     except (OSError, PipelineError) as exc:
-        _err(str(exc))
-        return EXIT_IO
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InvalidConfig):
+            return EXIT_CONFIG
+        return EXIT_NO_EVENTS if isinstance(exc, NoEvents) else EXIT_IO
 
 
 def entrypoint() -> None:

@@ -38,7 +38,8 @@ import os
 import signal
 import sys
 import threading
-from collections import deque
+import time
+from collections import Counter, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -52,8 +53,9 @@ from .errors import (
     InvalidConfig,
     MalformedCsv,
     NonMonotoneTimestamps,
+    WorkerDied,
 )
-from .signals import PowerSignal
+from .signals import PowerSignal, in_order
 
 CSV_HEADER = ("timestamp", "power_w")
 _PLAIN_HEADER = ",".join(CSV_HEADER) + "\n"
@@ -308,7 +310,7 @@ def _die_with_parent(parent: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _map_files(func: Callable, tasks: Iterable[tuple], undo: Callable | None = None) -> list:
+def _map_files(func: Callable, tasks: Iterable[tuple]) -> list:
     """``[func(*task) for task in tasks]``, one worker process per usable CPU
     (at most ``_MAX_WORKERS``).
 
@@ -317,75 +319,69 @@ def _map_files(func: Callable, tasks: Iterable[tuple], undo: Callable | None = N
     so a lazy iterable of tasks is held a few chunks at a time. Every call
     runs, and the results keep the order of ``tasks``. If any call raises,
     the exception of the first failing task in that order is raised, with
-    its own type and message, after ``undo`` has been given the result of
-    every call that succeeded. From a worker, the exception has the worker's
+    its own type and message. From a worker, the exception has the worker's
     traceback as its cause. If taking a task raises, that exception is
-    raised instead, once the calls already sent have finished and been
-    undone. With fewer than two workers (see :func:`_pool_size`, which sees
-    at most the first ``_MAX_WORKERS`` tasks) the calls run in this process,
-    in order. Every worker has exited before this returns, and a worker that
-    dies raises ``BrokenProcessPool`` here.
+    raised instead, once the calls already sent have finished. With fewer
+    than two workers (see :func:`_pool_size`, which sees at most the first
+    ``_MAX_WORKERS`` tasks) the calls run in this process, in order. Every
+    worker has exited before this returns or raises, and a worker that dies
+    raises WorkerDied, with the pool's ``BrokenProcessPool`` as its cause.
     """
     calls = ((func, *task) for task in tasks)
     head = deque(islice(calls, _MAX_WORKERS))
     workers = _pool_size(len(head))
     calls = chain((head.popleft() for _ in range(len(head))), calls)
-    outcomes: list[tuple[bool, object, str | None]] = []
-    try:
-        if workers < 2:
-            # one at a time, so an interrupted map still undoes what came back
-            for outcome in map(_call, calls):
-                outcomes.append(outcome)
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    if workers < 2:
+        outcomes = list(map(_call, calls))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-            # fork, not spawn: a spawned worker imports numpy and this
-            # package again, which made extract of the 300-file benchmark
-            # corpus slower than one process
-            pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_die_with_parent,
-                initargs=(os.getpid(),),
-            )
-            # sent and not yet collected, oldest first: one running and one
-            # waiting per worker, so no worker waits for this process
-            sent = deque()
-            try:
-                while chunk := list(islice(calls, _CHUNK_FILES)):
-                    if len(sent) == 2 * workers:
-                        outcomes.extend(sent[0].result())
-                        sent.popleft()
-                    sent.append(pool.submit(_call_chunk, chunk))
-                while sent:
-                    outcomes.extend(sent[0].result())
-                    sent.popleft()
-            finally:
-                # waits for the workers. After an interrupt, chunks that had
-                # not started are dropped, and what the running ones did is
-                # added, so that the undo below sees every file written.
-                pool.shutdown(cancel_futures=True)
-                for chunk in sent:
-                    if not chunk.cancelled() and chunk.exception() is None:
-                        outcomes.extend(chunk.result())
-        for ok, value, text in outcomes:
-            if ok:
-                continue
-            if text is None:
-                raise value
-            if value is None:
-                raise RuntimeError(
-                    f"{func.__name__} raised an exception in a worker process"
-                    " that cannot be sent back; its traceback follows"
-                ) from _WorkerTraceback(text)
-            raise value from _WorkerTraceback(text)
-    except BaseException:
-        if undo is not None:
-            for ok, value, _ in outcomes:
-                if ok:
-                    undo(value)
-        raise
+        # fork, not spawn: a spawned worker imports numpy and this
+        # package again, which made extract of the 300-file benchmark
+        # corpus slower than one process
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_die_with_parent,
+            initargs=(os.getpid(),),
+        )
+        # sent and not yet collected, oldest first: one running and one
+        # waiting per worker, so no worker waits for this process
+        sent = deque()
+        outcomes = []
+        try:
+            while chunk := list(islice(calls, _CHUNK_FILES)):
+                if len(sent) == 2 * workers:
+                    outcomes.extend(sent.popleft().result())
+                sent.append(pool.submit(_call_chunk, chunk))
+            while sent:
+                outcomes.extend(sent.popleft().result())
+        except BrokenProcessPool as exc:
+            raise WorkerDied("a corpus I/O worker process died before it finished") from exc
+        finally:
+            # a thread that ends in the shutdown can still run for a moment
+            # after Python has joined it, and a fork made meanwhile (by the
+            # next map) would copy a process with two threads
+            threads = threading.enumerate()
+            # waits for the workers; after an interrupt, chunks that had not
+            # started are dropped, and the running ones finish
+            pool.shutdown(cancel_futures=True)
+            ended = [t.native_id for t in threads if not t.is_alive()]
+            while any(os.path.exists(f"/proc/self/task/{tid}") for tid in ended):
+                time.sleep(0.001)
+    for ok, value, text in outcomes:
+        if ok:
+            continue
+        if text is None:
+            raise value
+        if value is None:
+            raise RuntimeError(
+                f"{func.__name__} raised an exception in a worker process"
+                " that cannot be sent back; its traceback follows"
+            ) from _WorkerTraceback(text)
+        raise value from _WorkerTraceback(text)
     return [value for _, value, _ in outcomes]
 
 
@@ -438,44 +434,49 @@ def write_corpus(signals: Iterable[PowerSignal], root: str | Path) -> dict[str, 
     back reproduces the exact same signals. Signals are taken one at a time,
     as the writes reach them, so a generator that makes them lazily is held
     a few chunks at a time (see :func:`_map_files`). They must come in
-    increasing (label, source_id) order, each pair once, or ValueError names
-    the first pair out of order or repeated; a label or source id that is
-    not a single path component (empty, ``.``, ``..``, or holding a path
-    separator) raises ValueError naming it. On any failure every file and
-    directory this call made is removed again, and if a file cannot be
-    written, the error of the first failing file in order is raised.
+    increasing (label, source_id) order, each pair once (see
+    :func:`in_order`); a label or source id that is not a single path
+    component (empty, ``.``, ``..``, or holding a path separator) raises
+    ValueError naming it. If a file cannot be written, the error of the
+    first failing file in order is raised. On any failure every directory
+    this call made is removed again, and so is every file it was handed to
+    write, even one that was there before, since a write that was cut short
+    can leave part of a file.
     """
     root = Path(root)
-    counts: dict[str, int] = {}
+    # every file handed to a write, and every directory made
+    paths: list[Path] = []
     made: list[Path] = []
 
-    def tasks():
-        last = None
+    def named():
+        # a signal's names are checked before its order
         for signal in signals:
-            key = (signal.label, signal.source_id)
-            for name in key:
+            for name in (signal.label, signal.source_id):
                 if name in ("", ".", "..") or "/" in name or os.sep in name:
                     raise ValueError(f"{name!r} is not a single path component")
-            if last is not None and key <= last:
-                raise ValueError(
-                    f"signals are not in increasing (label, source_id) order: {key} came after {last}"
-                )
-            last = key
+            yield signal
+
+    def tasks():
+        for signal in in_order(named()):
             class_dir = root / signal.label
-            if signal.label not in counts:
+            # the labels come in order, so each directory is made once
+            if not paths or paths[-1].parent != class_dir:
                 made.extend(_make_dirs(class_dir))
-                counts[signal.label] = 0
-            counts[signal.label] += 1
-            yield signal, class_dir / f"{signal.source_id}.csv"
+            paths.append(class_dir / f"{signal.source_id}.csv")
+            yield signal, paths[-1]
 
     try:
-        _map_files(_write_csv, tasks(), undo=_remove)
+        _map_files(_write_csv, tasks())
     except BaseException:
+        # what cannot be removed, such as a directory in a file's place, stays
+        for path in paths:
+            with contextlib.suppress(OSError):
+                path.unlink()
         for path in reversed(made):
             with contextlib.suppress(OSError):
                 path.rmdir()
         raise
-    return counts
+    return dict(Counter(path.parent.name for path in paths))
 
 
 def _make_dirs(path: Path) -> list[Path]:
@@ -485,13 +486,8 @@ def _make_dirs(path: Path) -> list[Path]:
     return missing[::-1]
 
 
-def _write_csv(signal: PowerSignal, path: Path) -> Path:
+def _write_csv(signal: PowerSignal, path: Path) -> None:
     path.write_text(_csv_text(signal))
-    return path
-
-
-def _remove(path: Path) -> None:
-    path.unlink(missing_ok=True)
 
 
 def _with_noise(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:

@@ -73,5 +73,13 @@ class EmptyDataset(PipelineError):
     """No recordings were found under the dataset root."""
 
 
+class NoEvents(PipelineError):
+    """Extraction found no event window in any signal."""
+
+
+class WorkerDied(PipelineError):
+    """A corpus I/O worker process ended before it reported back."""
+
+
 class RangeOverflow(WindowError):
     """A window's max - min overflows float64, so it cannot be quantized."""

@@ -25,7 +25,8 @@ from .classify import LabeledDataset
 from .descriptors import DescriptorConfig, HISTOGRAM_BINS, lbp_histogram, wld_histogram
 from .errors import DegenerateProduct, EmptyHistogram, MalformedCsv, RangeOverflow
 from .fusion import FusionStrategy, fuse_rows
-from .signals import EventDetectorConfig, EventWindow, PowerSignal, detect_events, impute_zeros
+from .signals import EventDetectorConfig, EventWindow, PowerSignal
+from .signals import detect_events, impute_zeros, in_order
 from .transform2d import reshape
 
 # samples per stack of windows described at once (about as many grid cells), and
@@ -96,21 +97,6 @@ def _extract_one(signal: PowerSignal, detector: EventDetectorConfig) -> list[Eve
     return detect_events(impute_zeros(signal), detector)
 
 
-def _cut(signals: Iterable[PowerSignal], detector: EventDetectorConfig):
-    """``(label, source_id, window)`` of every window of ``signals``, which
-    must come in (label, source_id) order; a signal is held here only until
-    the next one is taken."""
-    last = None
-    for signal in signals:
-        key = (signal.label, signal.source_id)
-        if last is not None and key < last:
-            raise ValueError(
-                f"signals are not in (label, source_id) order: {last} came before {key}"
-            )
-        last = key
-        yield from ((*key, w) for w in _extract_one(signal, detector))
-
-
 def extract_records(
     signals: Iterable[PowerSignal],
     detector: EventDetectorConfig,
@@ -122,9 +108,9 @@ def extract_records(
 
     One table per stack of ``CHUNK_SAMPLES // window_len`` windows (the last may
     be short), with the signals in the order given and their windows in onset
-    order. Signals out of (label, source_id) order raise ValueError naming the
-    first pair out of order, and the first window whose range overflows
-    float64 raises RangeOverflow.
+    order. Signals must come in increasing (label, source_id) order, each
+    pair once (see :func:`in_order`), and the first window whose range
+    overflows float64 raises RangeOverflow.
 
     Each stack goes to ``emit`` as soon as it is described and is not kept
     here; without ``emit`` the stacks are returned in a list. Each signal is
@@ -132,7 +118,10 @@ def extract_records(
     that makes its signals lazily, or lets go of them as it hands them on,
     holds one signal at a time.
     """
-    cut = _cut(signals, detector)
+    # a signal is held only until the next one is taken
+    cut = (
+        (s.label, s.source_id, w) for s in in_order(signals) for w in _extract_one(s, detector)
+    )
     step = max(1, CHUNK_SAMPLES // detector.window_len)
     stacks = []
     emit = stacks.append if emit is None else emit

@@ -8,6 +8,7 @@ those windows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,20 @@ class PowerSignal:
 
     def __len__(self) -> int:
         return int(self.samples.size)
+
+
+def in_order(signals: Iterable[PowerSignal]) -> Iterator[PowerSignal]:
+    """Each of ``signals`` as it is taken, keeping only the last (label,
+    source_id) pair; the first pair that is not above it raises ValueError."""
+    last = ()  # below every pair
+    for signal in signals:
+        key = (signal.label, signal.source_id)
+        if key <= last:
+            raise ValueError(
+                f"signals are not in increasing (label, source_id) order: {key} came after {last}"
+            )
+        last = key
+        yield signal
 
 
 @dataclass(slots=True)

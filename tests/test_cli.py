@@ -324,16 +324,25 @@ class TestConfigErrors:
                 ]
             ),
             ("io", 5, "io must be a JSON object"),
+            # values of the right type that a constructor refuses; "" is the root
+            ("io.sampling_rate_hz", 0, "sampling_rate_hz must be positive when set"),
+            ("knn.metric", "manhattan", "bad knn block: 'manhattan' is not a valid Metric"),
+            ("knn.weighting", "by_rank", "bad knn block: 'by_rank' is not a valid VoteWeighting"),
+            ("", [], "config root must be a JSON object"),
+            ("fusion_strategy", "max", "bad fusion_strategy: 'max' is not a valid FusionStrategy"),
         ],
     )
     def test_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, key, value, message):
         path = write_config(tmp_path / "c.json")
         doc = json.loads(path.read_text())
-        *blocks, last = key.split(".")
-        block = doc
-        for name in blocks:
-            block = block.setdefault(name, {})
-        block[last] = value
+        if key:
+            *blocks, last = key.split(".")
+            block = doc
+            for name in blocks:
+                block = block.setdefault(name, {})
+            block[last] = value
+        else:
+            doc = value
         path.write_text(json.dumps(doc))
         assert main(["extract", "--config", str(path)]) == 2
         out, err = capsys.readouterr()
@@ -534,9 +543,20 @@ class TestExtractCommand:
         detector = EventDetectorConfig(window_len=256)
         with pytest.raises(ValueError) as caught:
             extract_records(swapped, detector, DescriptorConfig())
-        assert str(caught.value) == (
-            f"signals are not in (label, source_id) order: {keys[3]} came before {keys[2]}"
-        )
+        order = "signals are not in increasing (label, source_id) order"
+        assert str(caught.value) == f"{order}: {keys[2]} came after {keys[3]}"
+
+    def test_a_repeated_pair_is_refused(self):
+        signals = generate(SynthConfig(signals_per_class=3, signal_len=1024, seed=5))
+        # each window is keyed on (label, source_id, onset), so a repeated
+        # signal would write windows with the same key
+        repeated = signals[:4] + [signals[3]] + signals[4:]
+        detector = EventDetectorConfig(window_len=256)
+        with pytest.raises(ValueError) as caught:
+            extract_records(repeated, detector, DescriptorConfig())
+        key = (signals[3].label, signals[3].source_id)
+        order = "signals are not in increasing (label, source_id) order"
+        assert str(caught.value) == f"{order}: {key} came after {key}"
 
 
 class TestSignalSource:

@@ -6,6 +6,7 @@ two. Each test runs both ways by replacing ``_usable_cpus``, and requires the
 same files, the same signals and the same first error.
 """
 
+import json
 import multiprocessing
 import os
 import re
@@ -25,9 +26,10 @@ from conftest import write_config
 from oracles import load_csv_ref, write_corpus_ref
 from texture_nilm import PowerSignal, cli, data, generate, load_dataset, write_corpus
 from texture_nilm.cli import main
-from texture_nilm.errors import MalformedCsv, NonMonotoneTimestamps
+from texture_nilm.errors import MalformedCsv, NonMonotoneTimestamps, WorkerDied
 
 MODES = {"in_process": 1, "pool": 2}
+DIED = "a corpus I/O worker process died before it finished"
 TEST_PID = os.getpid()
 # for tests of what only a pool does; the others also pass without one
 needs_pool = pytest.mark.skipif(
@@ -287,17 +289,32 @@ def test_cli_start_does_not_import_multiprocessing():
 
 
 FORK_THREADS = """
-import os, sys
+import json, os, sys, threading
 import numpy as np
 from texture_nilm import data
 from texture_nilm.cli import main
 
 data._usable_cpus = lambda: 2
+# native id -> name of every Python thread started from here on
+started = {}
 
 
+def record_start(frame, event, arg):
+    started[threading.get_native_id()] = threading.current_thread().name
+    sys.setprofile(None)
+
+
+threading.setprofile(record_start)
+
+
+# the kernel's thread count, and the threads other than this one that /proc
+# listed just before it was read, with their Python names
 def threads():
+    tids = sorted(map(int, os.listdir("/proc/self/task")))
     with open("/proc/self/stat") as fh:
-        return int(fh.read().rsplit(")", 1)[1].split()[17])
+        count = int(fh.read().rsplit(")", 1)[1].split()[17])
+    others = [f"{started.get(t, 'not started by Python')} ({t})" for t in tids if t != os.getpid()]
+    return count, others
 
 
 fork = os.fork
@@ -317,7 +334,7 @@ a @ a
 before = threads()
 for command, config in (("synth", sys.argv[1]), ("extract", sys.argv[2])):
     assert main([command, "--config", config]) == 0
-print(before, *after_fork)
+print(json.dumps([before, *after_fork]))
 """
 
 
@@ -341,9 +358,10 @@ def test_workers_are_forked_from_a_single_threaded_process(tmp_path):
         tmp_path / "read.json", io={"output": str(out_dir), "input_root": str(out_dir / "corpus")}
     )
     out, err = run_python(FORK_THREADS, cfg, read_cfg).communicate(timeout=120)
-    before, *after_fork = map(int, out.splitlines()[-1].split())
-    # two workers for synth and two for extract
-    assert after_fork == [1, 1, 1, 1], (before, after_fork, err)
+    before, *after_fork = json.loads(out.splitlines()[-1])
+    # two workers for synth and two for extract; the message names every
+    # other thread that a fork saw
+    assert [count for count, _ in after_fork] == [1, 1, 1, 1], (before, after_fork, err)
 
 
 HANG_IN_WORKERS = """
@@ -472,8 +490,74 @@ def die_in_a_worker(path, label, rate):
 def test_a_dead_worker_raises(tmp_path, monkeypatch):
     root = mixed_corpus(tmp_path / "corpus")
     monkeypatch.setattr(data, "_load_csv", die_in_a_worker)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(WorkerDied, match=f"^{DIED}$") as info:
         run_in_mode(monkeypatch, 2, load_dataset, root)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+
+WRITE_CSV = data._write_csv
+
+
+def write_half_and_die(sig, path):
+    # in a worker, b_kettle/rec_2 (the 8th of 15 files) gets half its text
+    if os.getpid() != TEST_PID and path.parts[-2:] == ("b_kettle", "rec_2.csv"):
+        text = data._csv_text(sig)
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+    return WRITE_CSV(sig, path)
+
+
+@needs_pool
+def test_a_worker_killed_in_a_write_leaves_no_file(tmp_path, monkeypatch):
+    root = tmp_path / "corpus"
+    # a file from before the call, which the killed worker was overwriting
+    before = root / "b_kettle" / "rec_2.csv"
+    before.parent.mkdir(parents=True)
+    before.write_text("timestamp,power_w\n0,1.5\n")
+    monkeypatch.setattr(data, "_write_csv", write_half_and_die)
+    with pytest.raises(WorkerDied, match=f"^{DIED}$") as info:
+        run_in_mode(monkeypatch, 2, write_corpus, signals(), root)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    # the directories the call made are gone, and the one that was there stays
+    assert list(root.rglob("*")) == [before.parent]
+
+
+SYNTH_WITH_A_DEAD_WORKER = """
+import os, sys
+from texture_nilm import data
+from texture_nilm.cli import main
+
+data._usable_cpus = lambda: 2
+write_csv = data._write_csv
+parent = os.getpid()
+
+
+def exit_in_a_worker(signal, path):
+    if os.getpid() != parent and path.stem == "square_wave_003":
+        os._exit(1)
+    return write_csv(signal, path)
+
+
+data._write_csv = exit_in_a_worker
+sys.exit(main(["synth", "--config", sys.argv[1]]))
+"""
+
+
+@needs_pool
+def test_cli_synth_with_a_dead_worker_exits_3_and_leaves_nothing(tmp_path):
+    synth = {
+        "classes": ["square_wave", "staircase"],
+        "signals_per_class": 12,
+        "signal_len": 256,
+        "noise_sigma": 2.0,
+        "seed": 7,
+    }
+    cfg = write_config(tmp_path / "c.json", io={"output": str(tmp_path / "out"), "synth": synth})
+    proc = run_python(SYNTH_WITH_A_DEAD_WORKER, cfg)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (3, "", f"error: {DIED}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_another_thread_keeps_the_calls_in_process(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from texture_nilm import (
     impute_zeros,
 )
 from texture_nilm.errors import AllZeroSignal, InvalidConfig
+from texture_nilm.signals import in_order
 
 
 def sig(values, label="dev", source="rec"):
@@ -32,6 +33,41 @@ class TestPowerSignal:
 
     def test_len(self):
         assert len(sig([1, 2, 3])) == 3
+
+
+class TestInOrder:
+    def test_each_signal_is_handed_on_as_it_is_taken(self):
+        taken = []
+
+        def source():
+            for key in [("a", "z"), ("b", "a"), ("b", "b")]:
+                taken.append(key)
+                yield sig([1.0], *key)
+
+        ordered = in_order(source())
+        assert taken == []
+        for i, signal in enumerate(ordered, start=1):
+            assert len(taken) == i and (signal.label, signal.source_id) == taken[-1]
+        assert len(taken) == 3
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [("a", "x"), ("b", "x"), ("a", "y")],
+            [("a", "x"), ("a", "y"), ("a", "x")],
+            [("a", "x"), ("a", "y"), ("a", "y")],
+        ],
+        ids=["label_decreases", "source_id_decreases", "repeated"],
+    )
+    def test_the_first_pair_out_of_order_is_named(self, keys):
+        ordered = in_order(sig([1.0], *key) for key in [*keys, ("z", "z")])
+        assert [(s.label, s.source_id) for s in (next(ordered), next(ordered))] == keys[:2]
+        with pytest.raises(ValueError) as caught:
+            next(ordered)
+        assert str(caught.value) == (
+            "signals are not in increasing (label, source_id) order: "
+            f"{keys[2]} came after {keys[1]}"
+        )
 
 
 class TestImputeZeros:
