@@ -103,7 +103,7 @@ def _build(cls, block: dict, where: str, **flags):
         _check_type(value, hints[key], f"{where}.{key}")
     try:
         return cls(**block)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"bad {where} block: {exc}") from exc
 
 

@@ -201,9 +201,12 @@ _FIELDS = re.compile(
 )
 
 
-def _parse_stack(text: str, start: int, fields: list[re.Match]) -> FeatureTable | None:
-    """The table of ``fields``, matched from ``start`` on, if ``records_to_jsonl``
-    turns it back into exactly their text, else None."""
+def _parse_stack(lines: list[str]) -> FeatureTable | None:
+    """The table of ``lines`` if each is a dump line and ``records_to_jsonl``
+    turns the table back into exactly their text, else None."""
+    fields = [_FIELDS.fullmatch(line) for line in lines]
+    if not all(fields):
+        return None
     columns = []
     for group in (2, 5):
         joined = ",".join(f[group] for f in fields)
@@ -223,54 +226,39 @@ def _parse_stack(text: str, start: int, fields: list[re.Match]) -> FeatureTable 
     except ValueError:
         # a bad escape, an onset past int()'s limit on digits, or a count of 2**32 or more
         return None
-    encoded, end = records_to_jsonl(stack), fields[-1].end()
-    # compared in place, as a copy of the stack's text would raise the peak RSS
-    if len(encoded) != end - start or not text.startswith(encoded, start):
-        return None
-    return stack
-
-
-def _first_bad_line(text: str, pos: int, lineno: int) -> int:
-    """The number of the first line from ``pos`` on (line ``lineno``) that the
-    writer would not write; only "\\n" ends a line."""
-    end = text.find("\n", pos) + 1
-    while end and (line := _FIELDS.fullmatch(text, pos, end)):
-        if _parse_stack(text, pos, [line]) is None:
-            break
-        pos, lineno, end = end, lineno + 1, text.find("\n", end) + 1
-    return lineno
+    return stack if records_to_jsonl(stack) == "".join(lines) else None
 
 
 def load_records(path: str | Path) -> FeatureTable:
     """Parse a feature dump as ``records_to_jsonl`` writes it, and nothing else.
 
-    The dump is parsed a stack of lines at a time, and a stack is kept only if
-    the writer turns it back into exactly its text. The stacks' narrowed tables
-    are joined at the end, so no int64 column of the whole dump is built. Any
-    other text raises MalformedCsv naming the first line the writer would not
-    write; no partial table is returned.
+    The dump is read and parsed a stack of lines at a time, so its whole text
+    is never held, and a stack is kept only if the writer turns it back into
+    exactly its text. The stacks' narrowed tables are joined at the end, so no
+    int64 column of the whole dump is built. Any other text raises MalformedCsv
+    naming the first line the writer would not write; no partial table is
+    returned.
     """
     path = Path(path)
+    stacks = []
     try:
-        # newline="" keeps each "\r", so only text the writer writes is read back
-        with path.open(newline="") as f:
-            text = f.read()
+        # newline="\n" ends a line at "\n" only and keeps each "\r", so only
+        # text the writer writes is read back
+        with path.open(newline="\n") as f:
+            while lines := list(islice(f, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS))):
+                stack = _parse_stack(lines)
+                if stack is None:
+                    # each kept record is one line, and a stack fails only at a
+                    # line that fails alone
+                    bad = [_parse_stack([line]) for line in lines].index(None)
+                    lineno = 1 + sum(map(len, stacks)) + bad
+                    raise MalformedCsv(f"{path}: line {lineno}: not a record as extract writes it")
+                stacks.append(stack)
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not readable as text: {exc}") from None
-    if not text:
+    if not stacks:
         # extract writes no dump when it finds no window, so never an empty one
         raise MalformedCsv(f"{path}: line 1: not a record as extract writes it")
-    stacks, start = [], 0
-    matches = _FIELDS.finditer(text)
-    while start < len(text):
-        fields = list(islice(matches, max(1, CHUNK_SAMPLES // HISTOGRAM_BINS)))
-        stack = _parse_stack(text, start, fields)
-        if stack is None:
-            # each kept record is one line
-            line = _first_bad_line(text, start, 1 + sum(map(len, stacks)))
-            raise MalformedCsv(f"{path}: line {line}: not a record as extract writes it")
-        stacks.append(stack)
-        start = fields[-1].end()
     return FeatureTable.joined(stacks)
 
 

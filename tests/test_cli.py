@@ -325,11 +325,15 @@ class TestConfigErrors:
             ),
             ("io", 5, "io must be a JSON object"),
             # values of the right type that a constructor refuses; "" is the root
-            ("io.sampling_rate_hz", 0, "sampling_rate_hz must be positive when set"),
+            ("io.sampling_rate_hz", 0, "bad io block: sampling_rate_hz must be positive when set"),
             ("knn.metric", "manhattan", "bad knn block: 'manhattan' is not a valid Metric"),
             ("knn.weighting", "by_rank", "bad knn block: 'by_rank' is not a valid VoteWeighting"),
             ("", [], "config root must be a JSON object"),
             ("fusion_strategy", "max", "bad fusion_strategy: 'max' is not a valid FusionStrategy"),
+            ("io.synth.signals_per_class", 0, "bad io.synth block: signals_per_class must be positive"),
+            ("knn.k", 0, "bad knn block: k must be at least 1"),
+            ("detector.window_len", 4, "bad detector block: window_len must be at least 9"),
+            ("eval.folds", 1, "bad eval block: folds must be at least 2"),
         ],
     )
     def test_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, key, value, message):
@@ -911,13 +915,23 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg)]) == 0
         assert report.read_bytes() == extracted
 
-    def test_non_utf8_dump_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("past_first_stack", [False, True], ids=["line_1", "line_200"])
+    def test_non_utf8_dump_exits_3(self, tmp_path, capsys, past_first_stack):
         cfg = write_config(tmp_path / "c.json")
         dump = tmp_path / "out" / "features.jsonl"
         dump.parent.mkdir(parents=True)
-        dump.write_bytes(b'{"label": "\xff"}\n')
+        if past_first_stack:
+            # the dump is read a stack of 128 lines at a time, decoded 8 KiB at a time
+            record = {"label": "a", "lbp": [1] * 256, "onset_index": 0, "source_id": "s"}
+            lines = [dump_line({**record, "wld": [1] * 256}).encode()] * 300
+            lines[199] = lines[199].replace(b'"a"', b'"\xff"')
+            assert sum(map(len, lines[:199])) > 8 * 1024
+            dump.write_bytes(b"".join(lines))
+        else:
+            dump.write_bytes(b'{"label": "\xff"}\n')
         assert main(["eval", "--config", str(cfg)]) == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and "not readable as text" in err
         assert not (tmp_path / "out" / "report.json").exists()
 

@@ -598,9 +598,10 @@ def test_canonical_dump_is_read_into_narrow_columns(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline.json, "loads", mock.Mock(side_effect=AssertionError("slow path")))
     loaded, peak = traced_peak(partial(load_records, dump))
     assert table_state(loaded) == table_state(table)
-    # measured 4.0 MB, with the dump's 1.7 MB text; preallocated int64 columns
-    # peaked at 9.2 MB
-    assert peak < 6 * 2**20
+    # measured 2.04 MiB on the 1.71 MiB dump, read a stack of lines at a time;
+    # holding the whole text peaked at 3.60 MiB, and preallocated int64 columns
+    # at 9.2 MB
+    assert peak < dump.stat().st_size + 2**20
 
 
 def dense_config(tmp_path):
