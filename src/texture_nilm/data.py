@@ -391,8 +391,8 @@ def load_dataset(
     """Load every recording under `<root>/<label>/*.csv`.
 
     The appliance label is the directory name. The sampling rate is inferred
-    from the median timestamp delta unless ``sampling_rate_hz`` overrides it
-    (high-rate corpora often ship sample indices instead of wall-clock times).
+    from the median timestamp delta unless ``sampling_rate_hz`` overrides it;
+    the rate is only recorded, and with an override a one-row file loads.
     Output is in (label, source_id) order, that is by directory name and then
     by file stem, and a bad file raises the error of the first failing file
     in that order.
@@ -487,7 +487,7 @@ def _make_dirs(path: Path) -> list[Path]:
 
 
 def _write_csv(signal: PowerSignal, path: Path) -> None:
-    path.write_text(_csv_text(signal))
+    path.write_text(_csv_text(signal), newline="\n")
 
 
 def _with_noise(x: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:

@@ -43,45 +43,36 @@ NEIGHBOR_OFFSETS = (
 
 @dataclass(frozen=True)
 class DescriptorConfig:
-    """Patch geometry and WLD binning parameters.
+    """WLD binning parameters; the patch is always 3x3 with 8 neighbors.
 
-    Only the 3x3 patch (8 neighbors) is implemented; multi-scale variants are
-    out of scope. ``orientation_bins * excitation_bins`` must equal 256 so the
-    joint WLD histogram matches the LBP histogram length. ``epsilon`` guards
-    the excitation ratio when a quantized center cell is 0.
+    ``orientation_bins`` must divide 256, and ``excitation_bins`` is the
+    quotient, so the joint WLD histogram matches the LBP histogram length.
+    ``epsilon`` guards the excitation ratio when a quantized center cell is 0.
     """
 
-    patch_size: int = 3
-    neighbor_count: int = 8
     orientation_bins: int = 8
-    excitation_bins: int = 32
     epsilon: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.patch_size % 2 == 0 or self.patch_size < 3:
-            raise InvalidConfig("patch_size must be an odd integer >= 3")
-        if self.patch_size != 3:
-            raise InvalidConfig("only patch_size 3 is supported")
-        if self.neighbor_count != 8:
-            raise InvalidConfig("neighbor_count is fixed at 8 for 3x3 patches")
-        if self.orientation_bins < 1 or self.excitation_bins < 1:
-            raise InvalidConfig("bin counts must be positive")
-        if self.orientation_bins * self.excitation_bins != HISTOGRAM_BINS:
+        bins = self.orientation_bins
+        if not 1 <= bins <= HISTOGRAM_BINS or HISTOGRAM_BINS % bins:
             raise InvalidConfig(
-                "orientation_bins * excitation_bins must equal "
-                f"{HISTOGRAM_BINS}, got "
-                f"{self.orientation_bins}*{self.excitation_bins}"
+                f"orientation_bins must be a positive divisor of {HISTOGRAM_BINS}, got {bins}"
             )
         if not self.epsilon > 0:
             raise InvalidConfig("epsilon must be positive")
+
+    @property
+    def excitation_bins(self) -> int:
+        return HISTOGRAM_BINS // self.orientation_bins
 
 
 @dataclass
 class DescriptorHistogram:
     """256-bin histograms, one window's ``(256,)`` or a stack's ``(W, 256)``.
 
-    ``bins`` holds raw integer counts straight out of extraction (one vote per
-    interior cell) or non-negative reals after normalization elsewhere.
+    ``bins`` may hold any finite, non-negative numbers; the two extractors
+    below fill it with raw integer counts, one vote per interior cell.
     """
 
     bins: np.ndarray

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,7 +47,7 @@ def dump_line(record):
 
 
 FEATURES_SHA256 = "b674e9f5579848fd6e3e0206b1e37b860439bf686643ffc129112dee8e382b76"
-REPORT_SHA256 = "f8c5c18c3f148231654f022c497c2a89034e244c6f8aba67576da8afeb0a4ca4"
+REPORT_SHA256 = "22aeddd9d82dcb3d5a4331cae938e99b8f2ce3bf9814c4fc03d2fcfa67d68510"
 # features.jsonl of the write_config corpus at window_len 16 (4x4 grids, one
 # padded window), by noise_sigma; without noise most windows are flat
 SMALL_GRID_FEATURES_SHA256 = {
@@ -161,7 +162,6 @@ def raw_configs(draw):
         },
         "descriptor": {
             "orientation_bins": orientation_bins,
-            "excitation_bins": 256 // orientation_bins,
             "epsilon": draw(numbers),
         },
         "fusion_strategy": draw(st.sampled_from(FusionStrategy)).value,
@@ -287,6 +287,19 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", classifier={"k": 1})
         assert main(["eval", "--config", str(cfg)]) == 2
 
+    # keys the descriptor block does not take: the patch is fixed at 3x3 with
+    # 8 neighbors, and orientation_bins fixes the excitation bins
+    @pytest.mark.parametrize(
+        "key, value", [("patch_size", 3), ("neighbor_count", 8), ("excitation_bins", 32)]
+    )
+    def test_removed_descriptor_key_is_refused(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.json", descriptor={key: value})
+        assert main(["eval", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unknown keys in descriptor: ['{key}']\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["synth", "extract"])
     @pytest.mark.parametrize(
         "flag", [["--strategy", "sum"], ["--k", "5"], ["--metric", "cosine"], ["--folds", "3"]]
@@ -313,7 +326,7 @@ class TestConfigErrors:
                     ("detector.window_len", 256.5, "an integer"),
                     ("detector.steady_len", 2.5, "an integer"),
                     ("detector.delta_watts", "15", "a number"),
-                    ("descriptor.excitation_bins", 32.0, "an integer"),
+                    ("descriptor.orientation_bins", 8.0, "an integer"),
                     ("io.synth.signals_per_class", 4.5, "an integer"),
                     ("io.synth.signal_len", 1024.0, "an integer"),
                     ("io.synth.seed", 7.5, "an integer"),
@@ -607,19 +620,21 @@ class TestSignalSource:
 
 
 # stdout, report.json and io.report_csv SHA-256 of eval on the _seeded_io
-# corpus of each synth seed, as commit 6fa6cab wrote them
+# corpus of each synth seed, as commit 6fa6cab wrote them; the report.json
+# entries re-pinned when the descriptor config dropped patch_size,
+# neighbor_count and excitation_bins, which changed only its config blocks
 EVAL_OUTPUTS = {
     (11, "all"): (
         "sum: accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n"
         "concat: accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n"
         "mult: accuracy=0.5952380952380952 macro_f1=0.5618165784832451\n"
         "ordering confirmed: sum >= concat >= mult\n",
-        "31c3209f32080236c2c770db1b228aa463ba07fe637741a8f9a8966ab0aabf04",
+        "7b0179145e46ff6920d24144897f81e86aa97fa60e093e007b2a2d6c69f35a8c",
         "48ee38ac48b592ac5b4647dd8abd728e52c1abb95a005f48f2a770d575d7447e",
     ),
     (11, "concat"): (
         "accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n",
-        "750fd390ccc090f504e1774062ada6e164e48f69540c711ca4fb09d1f9cebaa4",
+        "df71fde99fd953f8729e20cbdd472a409e1c2b8beae09388beb3f9f4ce8456d2",
         "90ef0646d7d9f0518dd7dff5b058d6226596a19a63377325666c4ef1b94990e3",
     ),
     (13, "all"): (
@@ -628,18 +643,19 @@ EVAL_OUTPUTS = {
         "mult: accuracy=0.7 macro_f1=0.6869809203142535\n"
         "ordering deviation: expected sum >= concat >= mult; "
         "observed sum=0.825 concat=0.85 mult=0.7\n",
-        "a1f24b6e4675ac0580e63cad7ff85aea2898cea64d9364964310a5756cace4e4",
+        "02fad4088432748ac83876c6fe88660972c8ce75ef9ff716455e74a2f8934e8e",
         "8186f358d2286d92e4cd7018c24685d18f278e616ac4c6d24001fc7fae5d3227",
     ),
 }
 
 
 # SHA-256 of the stdout of `report` on the report.json of each EVAL_OUTPUTS
-# case, as commit 40f34e2 printed it
+# case, as commit 40f34e2 printed it, re-pinned with those reports for the
+# fingerprint lines alone
 REPORT_STDOUT_SHA256 = {
-    (11, "all"): "90e998d4821926db9bcd82dc92860ac77655cdbd3330065a8c4301016c5f66a3",
-    (11, "concat"): "69a05c2a9269ad62023c8cabf75bc7d613594a908e2e220b03026f0b8d54307e",
-    (13, "all"): "7202a2b9a56d0fc14fcdc722c439166811461a38d58cbaf40702fc26cff75594",
+    (11, "all"): "58587b99f065ead87501386735598fefbf446ea7acadd6733dc9285019a56c37",
+    (11, "concat"): "d9891950ec5abd82585b84946ffda95d08297e601f632404a67109916b0cf8a9",
+    (13, "all"): "bba392328460fc4b7198f6d4d1d4046728aad32e6a20289cd34c1219b73585c0",
 }
 
 
@@ -657,6 +673,24 @@ class TestEvalCommand:
             sha(tmp_path / "out" / "folds.csv"),
         )
         assert got == EVAL_OUTPUTS[seed, strategy]
+
+    @pytest.mark.parametrize("flags", [[], ["--strategy", "all"]])
+    def test_report_config_blocks_load_back(self, tmp_path, flags):
+        path = write_config(tmp_path / "c.json", io=_seeded_io(tmp_path, 11))
+        assert main(["eval", "--config", str(path), *flags]) == 0
+        cfg = load_config(path)
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        # the document, then each strategy's section of an --strategy all run
+        expected = [(doc, cfg)] + [
+            (section, dataclasses.replace(cfg, fusion_strategy=FusionStrategy(name)))
+            for name, section in doc.get("strategies", {}).items()
+        ]
+        assert len(expected) == (4 if flags else 1)
+        for section, want in expected:
+            loaded = config_from_dict(section["config"])
+            assert loaded == want
+            if "config_fingerprint" in section:
+                assert config_fingerprint(loaded) == section["config_fingerprint"]
 
     def test_writes_report_and_prints_metrics(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -680,8 +714,9 @@ class TestEvalCommand:
 
     def test_artifact_bytes_are_pinned(self, tmp_path, monkeypatch):
         # FEATURES_SHA256 and REPORT_SHA256 are the artifacts as commit
-        # ab450be, the last one with two fusion paths, wrote them; only a
-        # change to the dump or report format on purpose may re-pin them
+        # ab450be, the last one with two fusion paths, wrote them (the report
+        # re-pinned for the smaller descriptor config block); only a change
+        # to the dump or report format on purpose may re-pin them
         monkeypatch.chdir(tmp_path)
         io = {**_seeded_io(tmp_path, 7), "output": "out"}
         cfg = write_config(tmp_path / "c.json", io=io)

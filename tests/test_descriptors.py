@@ -35,14 +35,15 @@ class TestDescriptorConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"patch_size": 4},
-            {"patch_size": 1},
-            {"patch_size": 5},
-            {"neighbor_count": 4},
             {"orientation_bins": 7},
-            {"orientation_bins": 16},
-            {"excitation_bins": 0},
+            {"orientation_bins": 0},
+            {"orientation_bins": 3},
+            {"orientation_bins": 512},
+            # 256 % -8 == 0 in Python, so only the range check refuses it
+            {"orientation_bins": -8},
+            {"orientation_bins": 255},
             {"epsilon": 0.0},
+            {"epsilon": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -50,8 +51,8 @@ class TestDescriptorConfig:
             DescriptorConfig(**kwargs)
 
     def test_alternative_joint_shapes_allowed(self):
-        cfg = DescriptorConfig(orientation_bins=16, excitation_bins=16)
-        assert cfg.orientation_bins == 16
+        cfg = DescriptorConfig(orientation_bins=16)
+        assert (cfg.orientation_bins, cfg.excitation_bins) == (16, 16)
 
 
 class TestDescriptorHistogram:
@@ -270,14 +271,14 @@ class TestWldHistogram:
                 == wld_histogram_ref(m.cells.tolist())
             )
 
-    def test_alternative_binning_matches_reference(self):
-        cfg = DescriptorConfig(orientation_bins=4, excitation_bins=64)
+    @pytest.mark.parametrize("orientation_bins", [2**n for n in range(9)])
+    def test_alternative_binning_matches_reference(self, orientation_bins):
+        cfg = DescriptorConfig(orientation_bins=orientation_bins)
         rng = np.random.default_rng(44)
         for _ in range(10):
             m = random_matrix(rng, 8, 8)
-            assert (
-                wld_histogram(m, cfg).bins.tolist()
-                == wld_histogram_ref(m.cells.tolist(), 4, 64)
+            assert wld_histogram(m, cfg).bins.tolist() == wld_histogram_ref(
+                m.cells.tolist(), orientation_bins, 256 // orientation_bins
             )
 
     @settings(max_examples=30)
