@@ -87,7 +87,7 @@ def _signals(cfg: PipelineConfig) -> Iterator[PowerSignal]:
     lets go of each recording as it hands it on.
     """
     if cfg.io.input_root is not None:
-        queue = deque(load_dataset(cfg.io.input_root, cfg.io.sampling_rate_hz))
+        queue = deque(load_dataset(cfg.io.input_root))
         return (queue.popleft() for _ in range(len(queue)))
     synth = cfg.io.synth
     count = len(synth.classes) * synth.signals_per_class
@@ -184,6 +184,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         doc = {
             "tool_version": __version__,
             "config": config_to_dict(cfg),
+            "config_fingerprint": config_fingerprint(cfg),
             "strategies": docs,
             "ordering": ordering,
         }

@@ -32,7 +32,6 @@ class IoConfig:
     output: str = "out"
     input_root: str | None = None
     synth: SynthConfig | None = None
-    sampling_rate_hz: float | None = None
     report_csv: str | None = None
 
     def __post_init__(self) -> None:
@@ -40,8 +39,6 @@ class IoConfig:
             raise InvalidConfig(
                 "exactly one of io.input_root and io.synth must be set"
             )
-        if self.sampling_rate_hz is not None and not self.sampling_rate_hz > 0:
-            raise InvalidConfig("sampling_rate_hz must be positive when set")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ every line holds exactly one comma, and every field parses as a finite
 blocks of whole lines, without the CSV module. The first data line is tried
 on its own before any bulk work. Anything else (ISO-8601 timestamps, CRLF
 line endings, quoting, blank lines, empty or non-finite fields, text that is
-not UTF-8, too few rows) is read again from the start by the row-by-row
+not UTF-8, no data row) is read again from the start by the row-by-row
 parser, which gives the same signal or raises the same error with its line
 number. ISO-timestamp corpora therefore always take the row parser and gain
 nothing. Writing builds each file's text with one join over bulk-converted
@@ -202,7 +202,7 @@ def _read_rows(fh, path: Path) -> tuple[list[float], list[float]]:
     return timestamps, powers
 
 
-def _load_csv(path: Path, label: str, rate_override: float | None) -> PowerSignal:
+def _load_csv(path: Path, label: str) -> PowerSignal:
     try:
         with open(path, newline="") as fh:
             try:
@@ -220,20 +220,11 @@ def _load_csv(path: Path, label: str, rate_override: float | None) -> PowerSigna
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not readable as text: {exc}") from None
 
-    minimum_rows = 1 if rate_override else 2
-    if len(powers) < minimum_rows:
-        raise MalformedCsv(
-            f"{path}: {len(powers)} data rows; at least {minimum_rows} required"
-        )
-    ts = np.asarray(timestamps)
-    deltas = np.diff(ts)
-    if np.any(deltas <= 0):
+    if len(powers) == 0:
+        raise MalformedCsv(f"{path}: 0 data rows; at least 1 required")
+    if np.any(np.diff(timestamps) <= 0):
         raise NonMonotoneTimestamps(f"{path}: timestamps are not strictly increasing")
-    if rate_override:
-        rate = rate_override
-    else:
-        rate = 1.0 / float(np.median(deltas))
-    return PowerSignal(np.asarray(powers), rate, label, path.stem)
+    return PowerSignal(np.asarray(powers), label, path.stem)
 
 
 def _usable_cpus() -> int:
@@ -385,23 +376,21 @@ def _map_files(func: Callable, tasks: Iterable[tuple]) -> list:
     return [value for _, value, _ in outcomes]
 
 
-def load_dataset(
-    root: str | Path, sampling_rate_hz: float | None = None
-) -> list[PowerSignal]:
+def load_dataset(root: str | Path) -> list[PowerSignal]:
     """Load every recording under `<root>/<label>/*.csv`.
 
-    The appliance label is the directory name. The sampling rate is inferred
-    from the median timestamp delta unless ``sampling_rate_hz`` overrides it;
-    the rate is only recorded, and with an override a one-row file loads.
-    Output is in (label, source_id) order, that is by directory name and then
-    by file stem, and a bad file raises the error of the first failing file
-    in that order.
+    The appliance label is the directory name. A recording is its power
+    values in file order: its timestamps must strictly increase, and do
+    nothing else, so a gap between two of them is not seen. One data row is
+    enough. Output is in (label, source_id) order, that is by directory name
+    and then by file stem, and a bad file raises the error of the first
+    failing file in that order.
     """
     root = Path(root)
     if not root.is_dir():
         raise EmptyDataset(f"{root} is not a directory")
     tasks = [
-        (path, class_dir.name, sampling_rate_hz)
+        (path, class_dir.name)
         for class_dir in sorted((p for p in root.iterdir() if p.is_dir()), key=lambda p: p.name)
         for path in sorted(class_dir.glob("*.csv"), key=lambda p: p.stem)
     ]
@@ -411,16 +400,7 @@ def load_dataset(
 
 
 def _csv_text(signal: PowerSignal) -> str:
-    n = len(signal.samples)
-    step = 1.0 / signal.sampling_rate_hz
-    if step.is_integer() and step >= 1 and (n - 1) * step < 2**53:
-        # every i * step is an exact integer, so it prints as one
-        stamps = map(str, range(0, n * int(step), int(step)))
-    else:
-        stamps = (
-            str(int(t)) if t == int(t) else repr(float(t))
-            for t in (i * step for i in range(n))
-        )
+    stamps = map(str, range(len(signal)))
     # the repr of a list of floats joins the repr of each element
     values = repr(signal.samples.tolist())[1:-1].split(", ")
     return _PLAIN_HEADER + "\n".join(map(",".join, zip(stamps, values))) + "\n"
@@ -429,9 +409,9 @@ def _csv_text(signal: PowerSignal) -> str:
 def write_corpus(signals: Iterable[PowerSignal], root: str | Path) -> dict[str, int]:
     """Write signals as a `<root>/<label>/<source_id>.csv` corpus.
 
-    Power values are written with full round-trip precision and timestamps as
-    integers whenever the sampling step is integral, so loading the corpus
-    back reproduces the exact same signals. Signals are taken one at a time,
+    Power values are written with full round-trip precision and each
+    sample's index as its timestamp, so loading the corpus back reproduces
+    the exact same signals. Signals are taken one at a time,
     as the writes reach them, so a generator that makes them lazily is held
     a few chunks at a time (see :func:`_map_files`). They must come in
     increasing (label, source_id) order, each pair once (see
@@ -646,8 +626,7 @@ def generate(cfg: SynthConfig, part: slice = slice(None)) -> list[PowerSignal]:
     class i (of ``cfg.classes``) has source id ``<label>_<j>``, j zero-padded
     to at least 3 digits and to the width of the last index, and draws from
     the child that ``SeedSequence(cfg.seed).spawn`` gives spawn index
-    ``i * signals_per_class + j``, whatever part is generated. All signals
-    are emitted at 1 Hz.
+    ``i * signals_per_class + j``, whatever part is generated.
     """
     n = cfg.signals_per_class
     width = max(3, len(str(n - 1)))
@@ -658,5 +637,5 @@ def generate(cfg: SynthConfig, part: slice = slice(None)) -> list[PowerSignal]:
         spawn = cfg.classes.index(label) * n + j
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(spawn,)))
         samples = _ARCHETYPE_FUNCS[label](rng, cfg.signal_len, cfg.noise_sigma)
-        signals.append(PowerSignal(samples, 1.0, label, f"{label}_{j:0{width}d}"))
+        signals.append(PowerSignal(samples, label, f"{label}_{j:0{width}d}"))
     return signals

@@ -18,14 +18,13 @@ from .errors import AllZeroSignal, InvalidConfig
 
 @dataclass
 class PowerSignal:
-    """A labeled 1D power trace in watts.
+    """A labeled 1D power trace in watts, its samples in time order.
 
     Zeros mark missing observations until repaired by :func:`impute_zeros`.
     Treated as immutable by convention; operations return new instances.
     """
 
     samples: np.ndarray
-    sampling_rate_hz: float
     label: str
     source_id: str
 
@@ -35,8 +34,6 @@ class PowerSignal:
             raise ValueError("samples must be a non-empty 1D sequence")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"signal {self.source_id!r} contains non-finite samples")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError("sampling_rate_hz must be positive")
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -121,7 +118,7 @@ def impute_zeros(signal: PowerSignal) -> PowerSignal:
 
     out = x.copy()
     out[zi] = np.nanmean(np.vstack([left_val, right_val]), axis=0)
-    return PowerSignal(out, signal.sampling_rate_hz, signal.label, signal.source_id)
+    return PowerSignal(out, signal.label, signal.source_id)
 
 
 def detect_events(signal: PowerSignal, cfg: EventDetectorConfig) -> list[EventWindow]:

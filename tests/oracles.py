@@ -396,7 +396,7 @@ def _parse_timestamp_ref(raw, path):
     return dt.timestamp()
 
 
-def load_csv_ref(path, label, rate_override):
+def load_csv_ref(path, label):
     """One recording, frozen from the original row-by-row CSV reader."""
     path = Path(path)
     with open(path, newline="") as fh:
@@ -425,20 +425,13 @@ def load_csv_ref(path, label, rate_override):
                 raise MalformedCsv(f"{path}: line {lineno} has non-finite power")
             powers.append(power)
 
-    minimum_rows = 1 if rate_override else 2
-    if len(powers) < minimum_rows:
-        raise MalformedCsv(
-            f"{path}: {len(powers)} data rows; at least {minimum_rows} required"
-        )
+    if len(powers) < 1:
+        raise MalformedCsv(f"{path}: {len(powers)} data rows; at least 1 required")
     ts = np.asarray(timestamps)
     deltas = np.diff(ts)
     if np.any(deltas <= 0):
         raise NonMonotoneTimestamps(f"{path}: timestamps are not strictly increasing")
-    if rate_override:
-        rate = rate_override
-    else:
-        rate = 1.0 / float(np.median(deltas))
-    return PowerSignal(np.asarray(powers), rate, label, path.stem)
+    return PowerSignal(np.asarray(powers), label, path.stem)
 
 
 def write_corpus_ref(signals, root):
@@ -449,12 +442,9 @@ def write_corpus_ref(signals, root):
         class_dir = root / signal.label
         class_dir.mkdir(parents=True, exist_ok=True)
         path = class_dir / f"{signal.source_id}.csv"
-        step = 1.0 / signal.sampling_rate_hz
         lines = ["timestamp,power_w"]
         for i, value in enumerate(signal.samples):
-            t = i * step
-            stamp = str(int(t)) if t == int(t) else repr(float(t))
-            lines.append(f"{stamp},{float(value)!r}")
+            lines.append(f"{i},{float(value)!r}")
         path.write_text("\n".join(lines) + "\n")
         counts[signal.label] = counts.get(signal.label, 0) + 1
     return counts
@@ -480,7 +470,6 @@ def config_to_dict_ref(cfg):
                 if cfg.io.synth is None
                 else {**dataclasses.asdict(cfg.io.synth), "classes": list(cfg.io.synth.classes)}
             ),
-            "sampling_rate_hz": cfg.io.sampling_rate_hz,
             "report_csv": cfg.io.report_csv,
         },
     }

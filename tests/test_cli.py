@@ -47,7 +47,7 @@ def dump_line(record):
 
 
 FEATURES_SHA256 = "b674e9f5579848fd6e3e0206b1e37b860439bf686643ffc129112dee8e382b76"
-REPORT_SHA256 = "22aeddd9d82dcb3d5a4331cae938e99b8f2ce3bf9814c4fc03d2fcfa67d68510"
+REPORT_SHA256 = "47e8d749d70c2c8ddee21e32f5217971f1f7b02591ca79d1645cf5daa7a1ae46"
 # features.jsonl of the write_config corpus at window_len 16 (4x4 grids, one
 # padded window), by noise_sigma; without noise most windows are flat
 SMALL_GRID_FEATURES_SHA256 = {
@@ -151,9 +151,8 @@ def raw_configs(draw):
         }
     else:
         io["input_root"] = draw(names)
-    for key, values in (("sampling_rate_hz", numbers), ("report_csv", names)):
-        if draw(st.booleans()):
-            io[key] = draw(st.none() | values)
+    if draw(st.booleans()):
+        io["report_csv"] = draw(st.none() | names)
     raw = {
         "detector": {
             "delta_watts": draw(numbers),
@@ -300,6 +299,21 @@ class TestConfigErrors:
         assert err == f"error: unknown keys in descriptor: ['{key}']\n"
         assert not (tmp_path / "out").exists()
 
+    # the io block had a sampling rate, which no result depended on; an old
+    # report's config block holds it as null
+    @pytest.mark.parametrize("rate", [1.0, None])
+    @pytest.mark.parametrize("command", ["synth", "extract", "eval"])
+    def test_a_sampling_rate_is_refused(self, tmp_path, capsys, command, rate):
+        path = write_config(tmp_path / "c.json")
+        doc = json.loads(path.read_text())
+        doc["io"]["sampling_rate_hz"] = rate
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unknown keys in io: ['sampling_rate_hz']\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("command", ["synth", "extract"])
     @pytest.mark.parametrize(
         "flag", [["--strategy", "sum"], ["--k", "5"], ["--metric", "cosine"], ["--folds", "3"]]
@@ -333,12 +347,16 @@ class TestConfigErrors:
                     ("io.synth.classes", "square_wave", "a list of strings"),
                     ("io.synth.classes", ["staircase", 5], "a list of strings"),
                     ("io.output", 5, "a string"),
-                    ("io.sampling_rate_hz", True, "a number"),
+                    ("descriptor.epsilon", True, "a number"),
                 ]
             ),
             ("io", 5, "io must be a JSON object"),
             # values of the right type that a constructor refuses; "" is the root
-            ("io.sampling_rate_hz", 0, "bad io block: sampling_rate_hz must be positive when set"),
+            (
+                "io.input_root",
+                "corpus",
+                "bad io block: exactly one of io.input_root and io.synth must be set",
+            ),
             ("knn.metric", "manhattan", "bad knn block: 'manhattan' is not a valid Metric"),
             ("knn.weighting", "by_rank", "bad knn block: 'by_rank' is not a valid VoteWeighting"),
             ("", [], "config root must be a JSON object"),
@@ -347,6 +365,8 @@ class TestConfigErrors:
             ("knn.k", 0, "bad knn block: k must be at least 1"),
             ("detector.window_len", 4, "bad detector block: window_len must be at least 9"),
             ("eval.folds", 1, "bad eval block: folds must be at least 2"),
+            # a field that may also be null
+            ("io.report_csv", 5, "io.report_csv must be a string, got 5"),
         ],
     )
     def test_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, key, value, message):
@@ -450,6 +470,20 @@ class TestExtractCommand:
         assert main(["extract", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err == "error: no events detected in any signal\n"
         assert dump.read_bytes() == b"an earlier dump\n"
+        assert not list(tmp_path.glob("**/*.tmp"))
+
+    def test_one_row_recordings_load_and_yield_no_window(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        for label in ("box_a", "box_b"):
+            (corpus / label).mkdir(parents=True)
+            (corpus / label / "rec.csv").write_text("timestamp,power_w\n0,50.0\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            io={"output": str(tmp_path / "out"), "input_root": str(corpus)},
+        )
+        assert main(["extract", "--config", str(cfg)]) == 4
+        assert capsys.readouterr() == ("", "error: no events detected in any signal\n")
+        assert not (tmp_path / "out" / "features.jsonl").exists()
         assert not list(tmp_path.glob("**/*.tmp"))
 
     def test_recordings_of_a_class_come_in_file_stem_order(self, tmp_path):
@@ -622,19 +656,21 @@ class TestSignalSource:
 # stdout, report.json and io.report_csv SHA-256 of eval on the _seeded_io
 # corpus of each synth seed, as commit 6fa6cab wrote them; the report.json
 # entries re-pinned when the descriptor config dropped patch_size,
-# neighbor_count and excitation_bins, which changed only its config blocks
+# neighbor_count and excitation_bins, and again when the io config dropped
+# sampling_rate_hz and an --strategy all report gained a top-level
+# config_fingerprint, which changed only config blocks and fingerprints
 EVAL_OUTPUTS = {
     (11, "all"): (
         "sum: accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n"
         "concat: accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n"
         "mult: accuracy=0.5952380952380952 macro_f1=0.5618165784832451\n"
         "ordering confirmed: sum >= concat >= mult\n",
-        "7b0179145e46ff6920d24144897f81e86aa97fa60e093e007b2a2d6c69f35a8c",
+        "78d9030c6aec462ab888cb127f7c38149b8461987473d70fa85246417adfa767",
         "48ee38ac48b592ac5b4647dd8abd728e52c1abb95a005f48f2a770d575d7447e",
     ),
     (11, "concat"): (
         "accuracy=0.8571428571428571 macro_f1=0.8504729838063171\n",
-        "df71fde99fd953f8729e20cbdd472a409e1c2b8beae09388beb3f9f4ce8456d2",
+        "87106d6db98f1dad50a7fcb867b5fefc8fbfe412392ec0b7264ca9093e1812e0",
         "90ef0646d7d9f0518dd7dff5b058d6226596a19a63377325666c4ef1b94990e3",
     ),
     (13, "all"): (
@@ -643,19 +679,19 @@ EVAL_OUTPUTS = {
         "mult: accuracy=0.7 macro_f1=0.6869809203142535\n"
         "ordering deviation: expected sum >= concat >= mult; "
         "observed sum=0.825 concat=0.85 mult=0.7\n",
-        "02fad4088432748ac83876c6fe88660972c8ce75ef9ff716455e74a2f8934e8e",
+        "7c2e166043506eaa389e0598de5c7725bc3825347cf61c101c98e2f901bea84e",
         "8186f358d2286d92e4cd7018c24685d18f278e616ac4c6d24001fc7fae5d3227",
     ),
 }
 
 
 # SHA-256 of the stdout of `report` on the report.json of each EVAL_OUTPUTS
-# case, as commit 40f34e2 printed it, re-pinned with those reports for the
-# fingerprint lines alone
+# case, as commit 40f34e2 printed it, re-pinned with those reports (twice)
+# for the fingerprint lines alone
 REPORT_STDOUT_SHA256 = {
-    (11, "all"): "58587b99f065ead87501386735598fefbf446ea7acadd6733dc9285019a56c37",
-    (11, "concat"): "d9891950ec5abd82585b84946ffda95d08297e601f632404a67109916b0cf8a9",
-    (13, "all"): "bba392328460fc4b7198f6d4d1d4046728aad32e6a20289cd34c1219b73585c0",
+    (11, "all"): "f2f56d15656b51a37cb7d1e7ebef6acc39091214fe4c273c4b0cc01c06ddd49b",
+    (11, "concat"): "3baff2b9a303e2dee52ab0f9cd2ed1f484e6d1a4e1a3ad85b955c5e946de1692",
+    (13, "all"): "a04cfe1a8aad8f8147742bf9ea3c31b96881682f29d4aa00d3e80fe27f1dc8ab",
 }
 
 
@@ -689,8 +725,7 @@ class TestEvalCommand:
         for section, want in expected:
             loaded = config_from_dict(section["config"])
             assert loaded == want
-            if "config_fingerprint" in section:
-                assert config_fingerprint(loaded) == section["config_fingerprint"]
+            assert config_fingerprint(loaded) == section["config_fingerprint"]
 
     def test_writes_report_and_prints_metrics(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -715,7 +750,7 @@ class TestEvalCommand:
     def test_artifact_bytes_are_pinned(self, tmp_path, monkeypatch):
         # FEATURES_SHA256 and REPORT_SHA256 are the artifacts as commit
         # ab450be, the last one with two fusion paths, wrote them (the report
-        # re-pinned for the smaller descriptor config block); only a change
+        # re-pinned for the smaller descriptor and io config blocks); only a change
         # to the dump or report format on purpose may re-pin them
         monkeypatch.chdir(tmp_path)
         io = {**_seeded_io(tmp_path, 7), "output": "out"}

@@ -51,13 +51,6 @@ class TestLoadDataset:
         assert keys == sorted(keys)
         assert [source for _, source in keys] == ["a", "a-b", "x", "x-y", "x_y", "a"]
 
-    def test_one_hertz_rate_inferred(self, tmp_path):
-        write_recording(
-            tmp_path / "tv" / "day1.csv", [f"{1600000000 + t},{50.0}" for t in range(10)]
-        )
-        (signal,) = load_dataset(tmp_path)
-        assert signal.sampling_rate_hz == 1.0
-
     def test_iso_timestamps(self, tmp_path):
         rows = [
             "2021-03-01T00:00:00,10.0",
@@ -66,17 +59,11 @@ class TestLoadDataset:
         ]
         write_recording(tmp_path / "tv" / "iso.csv", rows)
         (signal,) = load_dataset(tmp_path)
-        assert signal.sampling_rate_hz == 1.0
         assert signal.samples.tolist() == [10.0, 11.0, 12.0]
-
-    def test_rate_override(self, tmp_path):
-        write_recording(tmp_path / "tv" / "r.csv", [f"{t},{5.0}" for t in range(4)])
-        (signal,) = load_dataset(tmp_path, sampling_rate_hz=30000.0)
-        assert signal.sampling_rate_hz == 30000.0
 
     def test_header_only_file_is_malformed(self, tmp_path):
         write_recording(tmp_path / "tv" / "empty.csv", [])
-        with pytest.raises(MalformedCsv, match="empty.csv"):
+        with pytest.raises(MalformedCsv, match=r"empty\.csv: 0 data rows; at least 1 required"):
             load_dataset(tmp_path)
 
     def test_wrong_header(self, tmp_path):
@@ -117,12 +104,25 @@ class TestLoadDataset:
         with pytest.raises(NonMonotoneTimestamps):
             load_dataset(tmp_path)
 
-    def test_single_row_needs_rate_override(self, tmp_path):
-        write_recording(tmp_path / "tv" / "one.csv", ["0,1.0"])
-        with pytest.raises(MalformedCsv):
-            load_dataset(tmp_path)
-        (signal,) = load_dataset(tmp_path, sampling_rate_hz=1.0)
-        assert len(signal) == 1
+    def test_one_row_loads_as_one_sample(self, tmp_path):
+        write_recording(tmp_path / "tv" / "one.csv", ["1600000000,7.5"])
+        (signal,) = load_dataset(tmp_path)
+        assert signal.samples.tolist() == [7.5]
+        assert (signal.label, signal.source_id) == ("tv", "one")
+
+    @pytest.mark.parametrize("after, windows", [(900.0, [200]), (100.0, [])])
+    def test_a_gap_in_the_timestamps_is_not_seen(self, tmp_path, after, windows):
+        # 200 rows at 100 W, six hours with no row, then 200 rows at `after`
+        start = 1_600_000_000
+        rows = [f"{start + t},100.0" for t in range(200)]
+        rows += [f"{start + 6 * 3600 + t},{after}" for t in range(200)]
+        write_recording(tmp_path / "tv" / "gap.csv", rows)
+        (signal,) = load_dataset(tmp_path)
+        assert signal.samples.tolist() == [100.0] * 200 + [after] * 200
+        # the samples are contiguous, so a level change across the gap is
+        # an event like any other
+        cfg = EventDetectorConfig(window_len=64)
+        assert [w.onset_index for w in detect_events(signal, cfg)] == windows
 
     def test_empty_dataset(self, tmp_path):
         with pytest.raises(EmptyDataset):
@@ -243,10 +243,9 @@ class TestGenerate:
             else:
                 assert np.array_equal(repaired.samples, signal.samples)
 
-    def test_labels_and_rate(self):
+    def test_labels(self):
         signals = generate(self.CFG)
         assert {s.label for s in signals} == set(ARCHETYPES)
-        assert all(s.sampling_rate_hz == 1.0 for s in signals)
 
 
 class TestWriteCorpus:
@@ -266,7 +265,6 @@ class TestWriteCorpus:
         for a, b in zip(loaded, generated):
             assert a.label == b.label
             assert a.source_id == b.source_id
-            assert a.sampling_rate_hz == b.sampling_rate_hz
             assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("field", ["label", "source_id"])

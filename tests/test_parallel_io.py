@@ -58,10 +58,10 @@ def signals():
     takes them."""
     rng = np.random.default_rng(23)
     out = []
-    for label, rate in (("b_kettle", 1.0), ("a_fridge", 0.5), ("c_tv", 3.0)):
+    for label in ("b_kettle", "a_fridge", "c_tv"):
         for i in range(5):
             samples = rng.normal(400.0, 120.0, 64 + 37 * i)
-            out.append(PowerSignal(samples, rate, label, f"rec_{i}"))
+            out.append(PowerSignal(samples, label, f"rec_{i}"))
     return sorted(out, key=lambda s: (s.label, s.source_id))
 
 
@@ -72,7 +72,6 @@ def tree(root):
 def assert_same_signals(got, want):
     assert [(s.label, s.source_id) for s in got] == [(s.label, s.source_id) for s in want]
     for a, b in zip(got, want):
-        assert np.float64(a.sampling_rate_hz).tobytes() == np.float64(b.sampling_rate_hz).tobytes()
         assert a.samples.dtype == b.samples.dtype
         assert a.samples.tobytes() == b.samples.tobytes()
 
@@ -126,7 +125,7 @@ class TestParity:
         loaded = {n: run_in_mode(monkeypatch, n, load_dataset, root) for n in MODES.values()}
         paths = sorted(root.glob("*/*.csv"))
         assert len(paths) == 19
-        reference = [load_csv_ref(p, p.parent.name, None) for p in paths]
+        reference = [load_csv_ref(p, p.parent.name) for p in paths]
         assert_same_signals(loaded[1], reference)
         assert_same_signals(loaded[2], reference)
 
@@ -140,8 +139,8 @@ class TestParity:
             assert pids == {parent} if n == 1 else parent not in pids
 
 
-def load_tagged_with_pid(path, label, rate):
-    return PowerSignal([1.0], 1.0, label, f"{path.stem}@{os.getpid()}")
+def load_tagged_with_pid(path, label):
+    return PowerSignal([1.0], label, f"{path.stem}@{os.getpid()}")
 
 
 def bad_corpus(root):
@@ -372,7 +371,7 @@ from texture_nilm import data
 data._usable_cpus = lambda: 2
 
 
-def load_and_hang(path, label, rate):
+def load_and_hang(path, label):
     (Path(sys.argv[2]) / str(os.getpid())).touch()
     time.sleep(60)
 
@@ -419,7 +418,7 @@ def write_slowly(signal, path):
 
 
 data._write_csv = write_slowly
-signals = [PowerSignal(np.ones(16), 1.0, "a", f"rec_{i:03d}") for i in range(400)]
+signals = [PowerSignal(np.ones(16), "a", f"rec_{i:03d}") for i in range(400)]
 write_corpus(signals, sys.argv[1])
 """
 
@@ -443,7 +442,7 @@ def test_interrupted_write_removes_every_written_file(tmp_path):
     assert list(root.glob("a/*")) == []
 
 
-def fail_with_value_error(path, label, rate):
+def fail_with_value_error(path, label):
     raise ValueError(f"cannot read {path.name}")
 
 
@@ -464,7 +463,7 @@ class TwoPartError(Exception):
         super().__init__(f"{path.name}: {reason}")
 
 
-def fail_with_two_part_error(path, label, rate):
+def fail_with_two_part_error(path, label):
     raise TwoPartError(path, "bad")
 
 
@@ -480,10 +479,10 @@ def test_exception_that_cannot_be_pickled_back_is_reported(tmp_path, monkeypatch
     assert "TwoPartError: rec_0.csv: bad\n" in cause
 
 
-def die_in_a_worker(path, label, rate):
+def die_in_a_worker(path, label):
     if os.getpid() != TEST_PID:
         os.kill(os.getpid(), signal.SIGKILL)
-    return PowerSignal([1.0], 1.0, label, path.stem)
+    return PowerSignal([1.0], label, path.stem)
 
 
 @needs_pool

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from texture_nilm.signals import in_order
 
 
 def sig(values, label="dev", source="rec"):
-    return PowerSignal(np.asarray(values, dtype=float), 1.0, label, source)
+    return PowerSignal(np.asarray(values, dtype=float), label, source)
 
 
 class TestPowerSignal:
@@ -27,12 +29,11 @@ class TestPowerSignal:
         with pytest.raises(ValueError):
             sig([1.0, np.nan])
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            PowerSignal(np.ones(3), 0.0, "dev", "rec")
-
     def test_len(self):
         assert len(sig([1, 2, 3])) == 3
+
+    def test_a_signal_is_its_samples_label_and_source_id(self):
+        assert [f.name for f in dataclasses.fields(PowerSignal)] == ["samples", "label", "source_id"]
 
 
 class TestInOrder:
